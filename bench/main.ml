@@ -176,7 +176,7 @@ let rec rm_rf (path : string) : unit =
 (* [-e scale]: the scaling trajectory — for each -n point, stream legs
    sequential/parallel/cold-cache/warm-cache plus (up to a size cap) a
    batch reference leg, each in a fresh child process, aggregated into
-   one JSON document (the published BENCH_scale.json). The disk cache
+   one JSON document on stdout. The disk cache
    backing the cold/warm pair is a per-point temporary directory, so
    "cold" is truly cold and "warm" replays exactly that point. *)
 let run_scale (points : int list) (jobs : int) (shard_size : int)

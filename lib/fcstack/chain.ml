@@ -26,11 +26,6 @@ let compiler_name (c : compiler) : string =
   | Cdefault_o2 -> "default-O2"
   | Cvcomp -> "vcomp"
 
-(* Deprecated alias (see chain.mli): the name maps live on the request
-   surface now. *)
-let compiler_of_string : string -> (compiler, string) Result.t =
-  Request.compiler_of_string
-
 let compiler_description (c : compiler) : string =
   match c with
   | Cdefault_o0 -> "default compiler, no optimization (patterns)"

@@ -3,8 +3,9 @@
    The harness takes a fault-free workload, injects a seeded, exactly
    reproducible set of per-node faults, and re-runs the chain under a
    matrix of configurations (sequential/parallel, cacheless/shared
-   cache/corrupted persistent store). It then *proves* the containment
-   contract rather than eyeballing it:
+   cache/corrupted persistent store, a real fcd daemon under hostile
+   peers). It then *proves* the containment contract rather than
+   eyeballing it:
 
      - every non-victim node's result is byte-identical to the
        fault-free reference run;
@@ -19,7 +20,12 @@
    stage downstream is exercised for real) or through the per-node
    config (starved analysis fuel). All randomness flows from one
    [Random.State] seeded by the caller: the same seed always picks the
-   same victims with the same faults. *)
+   same victims with the same faults.
+
+   The matrix is data: [legs] is one table of named rows, each a
+   function from the shared [ctx] to its violations. Adding a leg is
+   adding a row; the rows share one daemon lifecycle ([with_fcd]), one
+   faulted-node function ([run_node]) and one store-leg runner. *)
 
 type fault =
   | Fcorrupt_source  (* undeclared-variable write: fails typecheck *)
@@ -54,7 +60,7 @@ let make_plan ~(seed : int) ~(nodes : int) ~(victims : int) : plan =
       (pick (), kinds.(k mod Array.length kinds)))
   |> List.sort compare
 
-(* ---- source-level fault injectors ----------------------------------- *)
+(* ---- fault injectors ------------------------------------------------ *)
 
 let map_main (src : Minic.Ast.program)
     (f : Minic.Ast.func -> Minic.Ast.func) : Minic.Ast.program =
@@ -100,11 +106,14 @@ let inject_refusal (src : Minic.Ast.program) : Minic.Ast.program =
         fn_locals = ("__chaos_i", Tint) :: fn.fn_locals;
         fn_body = Sseq (loop, fn.fn_body) })
 
-let apply_fault (f : fault) (src : Minic.Ast.program) : Minic.Ast.program =
+(* The one place a fault becomes a (config, source) pair: source faults
+   edit the program, [Ffuel] starves the node's analysis budget. *)
+let apply_fault (f : fault) (config : Toolchain.config)
+    (src : Minic.Ast.program) : Toolchain.config * Minic.Ast.program =
   match f with
-  | Fcorrupt_source -> corrupt_source src
-  | Frefusal -> inject_refusal src
-  | Ffuel -> src  (* injected through the per-node config, not the source *)
+  | Fcorrupt_source -> (config, corrupt_source src)
+  | Frefusal -> (config, inject_refusal src)
+  | Ffuel -> ({ config with Toolchain.analysis_fuel = Wcet.Fuel.starved }, src)
 
 (* ---- result canonicalization ---------------------------------------- *)
 
@@ -118,65 +127,41 @@ let render_result (r : Par.node_result) : string =
      | Error m -> "FAIL " ^ m)
     (Target.Emit.program_to_string r.Par.pn_asm)
 
-(* ---- the harness ----------------------------------------------------- *)
+(* ---- shared leg context --------------------------------------------- *)
 
-type leg = {
-  leg_name : string;
-  leg_jobs : int;
-  leg_cache : unit -> Wcet.Memo.t option;  (* fresh cache per leg *)
+(* One (request, cold-batch expectation) per node, which the daemon
+   legs replay to prove the daemon answers correctly. *)
+type probe = { pr_name : string; pr_rq : Request.t; pr_expect : string }
+
+type ctx = {
+  plan : plan;
+  base : Toolchain.config;
+  reference : string array;  (* fault-free [render_result] per node *)
+  named : (string * Minic.Ast.program) list;
+  probes : probe list;       (* empty unless the daemon legs run *)
+  seed : int;
+  fcd_exe : string option;
 }
 
-let run_leg ~(plan : plan) ~(base : Toolchain.config)
-    (named : (string * Minic.Ast.program) list) (leg : leg) :
-  (Par.node_result, Diag.t) Result.t list =
-  let config =
-    { base with Toolchain.jobs = leg.leg_jobs; cache = leg.leg_cache () }
-  in
-  Par.map_list ~jobs:config.Toolchain.jobs
-    (fun (i, (name, src)) ->
-       match List.assoc_opt i plan with
-       | None -> Par.chain_node ~config name src
-       | Some fault ->
-         let config =
-           if fault = Ffuel then
-             { config with Toolchain.analysis_fuel = Wcet.Fuel.starved }
-           else config
-         in
-         Par.chain_node ~config name (apply_fault fault src))
-    (List.mapi (fun i n -> (i, n)) named)
-
-(* The same faulted workload through the bounded-buffer stream: shards
-   of [shard_size] nodes pulled lazily, chain outcomes folded back in
-   global node order. Containment must be shape-blind — a fault in the
-   middle of a shard may not disturb any other node, in its shard or
-   out of it. *)
-let run_leg_stream ~(plan : plan) ~(base : Toolchain.config)
-    ~(shard_size : int) ~(jobs : int) ~(cache : Wcet.Memo.t option)
-    (named : (string * Minic.Ast.program) list) :
-  (Par.node_result, Diag.t) Result.t list =
-  let config = { base with Toolchain.jobs; cache } in
-  let arr = Array.of_list (List.mapi (fun i n -> (i, n)) named) in
-  let producer k =
-    let lo = k * shard_size in
-    if lo >= Array.length arr then None
-    else
-      Some
-        (Array.map
-           (fun (i, (name, src)) () ->
-              match List.assoc_opt i plan with
-              | None -> Par.chain_node ~config name src
-              | Some fault ->
-                let config =
-                  if fault = Ffuel then
-                    { config with Toolchain.analysis_fuel = Wcet.Fuel.starved }
-                  else config
-                in
-                Par.chain_node ~config name (apply_fault fault src))
-           (Array.sub arr lo (min shard_size (Array.length arr - lo))))
-  in
-  List.rev
-    (Par.run_stream ~jobs ~consumer:(fun acc _ r -> r :: acc) ~init:[]
-       ~producer ())
+(* Analyze requests for the workload, each paired with its answer from
+   a cold, cacheless in-process session. *)
+let analyze_probes ~(engine : Wcet.Report.engine)
+    (named : (string * Minic.Ast.program) list) : probe list =
+  let opts = Toolchain.request_opts ~engine () in
+  let s = Service.create () in
+  List.map
+    (fun (name, src) ->
+       let rq =
+         Request.make ~name
+           ~action:
+             (Request.Analyze
+                { an_compare = false; an_simulate = false; an_annot = None })
+           ~opts
+           (Minic.Pp.program_to_string src)
+       in
+       { pr_name = name; pr_rq = rq;
+         pr_expect = (Service.run_request s rq).Response.rs_output })
+    named
 
 let has_sub (s : string) (sub : string) : bool =
   let n = String.length sub in
@@ -185,19 +170,51 @@ let has_sub (s : string) (sub : string) : bool =
   in
   go 0
 
-(* Check one leg's outcomes against the reference renderings and the
-   plan; returns the violations (empty = contract holds). *)
-let check_leg ~(plan : plan) ~(reference : string array)
-    (named : (string * Minic.Ast.program) list) (leg_name : string)
+let rec rm_rf (path : string) : unit =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      try Sys.rmdir path with Sys_error _ -> ()
+    end
+    else Sys.remove path
+
+let with_tmp_dir (f : string -> 'a) : 'a =
+  let dir = Filename.temp_dir "fcchaos-" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* ---- in-process legs ------------------------------------------------- *)
+
+(* One node of a leg: faulted per [plan], contained by [Par.chain_node]. *)
+let run_node ~(plan : plan) ~(config : Toolchain.config)
+    ((i, (name, src)) : int * (string * Minic.Ast.program)) :
+  (Par.node_result, Diag.t) Result.t =
+  let config, src =
+    match List.assoc_opt i plan with
+    | None -> (config, src)
+    | Some fault -> apply_fault fault config src
+  in
+  Par.chain_node ~config name src
+
+let indexed (ctx : ctx) : (int * (string * Minic.Ast.program)) list =
+  List.mapi (fun i n -> (i, n)) ctx.named
+
+let run_batch (ctx : ctx) ~(plan : plan) ~(jobs : int)
+    ~(cache : Wcet.Memo.t option) : (Par.node_result, Diag.t) Result.t list =
+  let config = { ctx.base with Toolchain.jobs; cache } in
+  Par.map_list ~jobs (run_node ~plan ~config) (indexed ctx)
+
+(* Check one leg's outcomes against the reference renderings and
+   [plan]; returns the violations (empty = contract holds). *)
+let check_leg (ctx : ctx) ~(plan : plan)
     (outcomes : (Par.node_result, Diag.t) Result.t list) : string list =
   let problems = ref [] in
-  let bad fmt = Printf.ksprintf (fun s -> problems := (leg_name ^ ": " ^ s) :: !problems) fmt in
+  let bad fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   List.iteri
     (fun i outcome ->
-       let name = fst (List.nth named i) in
+       let name = fst (List.nth ctx.named i) in
        match List.assoc_opt i plan, outcome with
        | None, Ok r ->
-         if render_result r <> reference.(i) then
+         if render_result r <> ctx.reference.(i) then
            bad "survivor %s diverged from the fault-free run" name
        | None, Error d ->
          bad "non-victim %s failed: %s" name (Diag.to_string d)
@@ -223,6 +240,50 @@ let check_leg ~(plan : plan) ~(reference : string array)
       (List.length outcomes);
   List.rev !problems
 
+(* The faulted workload under one (jobs x cache) configuration; a
+   memory cache is fresh per leg. *)
+let batch_leg ~(jobs : int) ~(memo : bool) (ctx : ctx) : string list =
+  let cache = if memo then Some (Wcet.Memo.create ()) else None in
+  check_leg ctx ~plan:ctx.plan (run_batch ctx ~plan:ctx.plan ~jobs ~cache)
+
+(* The same faulted workload through the bounded-buffer stream: shards
+   of 5 nodes pulled lazily, chain outcomes folded back in global node
+   order. Containment must be shape-blind — a fault in the middle of a
+   shard may not disturb any other node, in its shard or out of it. *)
+let stream_leg (ctx : ctx) : string list =
+  let jobs = 4 and shard_size = 5 in
+  let config =
+    { ctx.base with Toolchain.jobs; cache = Some (Wcet.Memo.create ()) }
+  in
+  let arr = Array.of_list (indexed ctx) in
+  let producer k =
+    let lo = k * shard_size in
+    if lo >= Array.length arr then None
+    else
+      Some
+        (Array.map
+           (fun node () -> run_node ~plan:ctx.plan ~config node)
+           (Array.sub arr lo (min shard_size (Array.length arr - lo))))
+  in
+  check_leg ctx ~plan:ctx.plan
+    (List.rev
+       (Par.run_stream ~jobs ~consumer:(fun acc _ r -> r :: acc) ~init:[]
+          ~producer ()))
+
+(* The fault-free workload against a persistent store in [dir]. *)
+let run_on_store (ctx : ctx) (dir : string) :
+  (Par.node_result, Diag.t) Result.t list =
+  run_batch ctx ~plan:[] ~jobs:2 ~cache:(Some (Wcet.Memo.create ~dir ()))
+
+(* A store-fault leg: [prepare] damages a fresh store directory, then a
+   fault-free run over it must behave exactly like an uncached one —
+   zero failures, reference-identical bytes. A store fault is a silent
+   miss, never an error. *)
+let store_leg (prepare : ctx -> string -> unit) (ctx : ctx) : string list =
+  with_tmp_dir (fun dir ->
+      prepare ctx dir;
+      check_leg ctx ~plan:[] (run_on_store ctx dir))
+
 (* Truncate every entry of a persistent store to half its size —
    simulating a crash mid-write or disk corruption. Recursive: store
    entries may live in subdirectories. *)
@@ -233,8 +294,7 @@ let rec truncate_store (dir : string) : unit =
        if Sys.is_directory path then truncate_store path
        else begin
          let ic = open_in_bin path in
-         let len = in_channel_length ic in
-         let keep = len / 2 in
+         let keep = in_channel_length ic / 2 in
          let buf = really_input_string ic keep in
          close_in ic;
          let oc = open_out_bin path in
@@ -243,251 +303,151 @@ let rec truncate_store (dir : string) : unit =
        end)
     (Sys.readdir dir)
 
-let rec rm_rf (path : string) : unit =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      try Sys.rmdir path with Sys_error _ -> ()
-    end
-    else Sys.remove path
+(* ENOSPC-style store write failure: every 2-hex fanout slot of the
+   store directory is pre-created as a regular FILE, so every entry
+   write fails (ENOTDIR under the slot) and every load misses — an
+   injected persistent-store write failure without filling a disk. *)
+let clog_fanout (dir : string) : unit =
+  let hex = "0123456789abcdef" in
+  String.iter
+    (fun a ->
+       String.iter
+         (fun b ->
+            close_out
+              (open_out (Filename.concat dir (Printf.sprintf "%c%c" a b))))
+         hex)
+    hex
 
-(* ---- server leg: SIGKILL the daemon mid-request-stream --------------- *)
+(* ---- daemon legs: a real fcd child ----------------------------------- *)
 
-(* Drive a real fcd child process through the workload as analyze
-   requests and SIGKILL it under two seeded requests. The contract:
-   the in-flight request surfaces as a transport failure (never a
-   wrong answer), the retry against a restarted daemon — same socket,
-   same disk store — succeeds, the store survives the kill
-   uncorrupted (the restarted daemon serves from it), every final
-   response is byte-identical to a cold in-process batch run, and the
-   final daemon still shuts down cleanly. *)
-let server_leg ~(seed : int) ~(engine : Wcet.Report.engine)
-    ~(fcd_exe : string) (named : (string * Minic.Ast.program) list) :
-  string list =
-  let problems = ref [] in
-  let leg = "fcd-kill-restart" in
-  let bad fmt =
-    Printf.ksprintf (fun s -> problems := (leg ^ ": " ^ s) :: !problems) fmt
-  in
-  let opts = Toolchain.request_opts ~engine () in
-  let requests =
-    List.map
-      (fun (name, src) ->
-         Request.make ~name
-           ~action:
-             (Request.Analyze
-                { an_compare = false; an_simulate = false; an_annot = None })
-           ~opts
-           (Minic.Pp.program_to_string src))
-      named
-  in
-  (* the cold batch reference: a fresh cacheless in-process session *)
-  let reference =
-    let s = Service.create () in
-    List.map
-      (fun rq -> (Service.run_request s rq).Response.rs_output)
-      requests
-  in
-  let n = List.length requests in
-  (* seeded choice of the two requests the daemon dies under *)
-  let rng = Random.State.make [| seed; 0xfcd |] in
-  let kill_at =
-    if n < 2 then []
-    else
-      let a = Random.State.int rng n in
-      let b = (a + 1 + Random.State.int rng (n - 1)) mod n in
-      [ a; b ]
-  in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fcchaos-srv-%d-%d" seed (Random.State.bits rng))
-  in
-  rm_rf dir;
-  Sys.mkdir dir 0o755;
-  let socket = Filename.concat dir "fcd.sock" in
-  let store = Filename.concat dir "store" in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-  let pid = ref (-1) in
-  let start () =
-    pid :=
-      Service.spawn ~stderr_to:devnull
-        (Service.daemon_argv ~exe:fcd_exe ~socket ~cache_dir:store ());
-    if not (Service.wait_for_path socket) then
-      bad "daemon socket never appeared"
-  in
-  let kill () =
-    if !pid > 0 then begin
-      (try Unix.kill !pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] !pid) with Unix.Unix_error _ -> ());
-      pid := -1;
-      (* SIGKILL never unlinks the socket; remove the stale path so the
-         restart's [wait_for_path] waits for the NEW daemon's bind
-         instead of racing connect against it *)
-      (try Sys.remove socket with Sys_error _ -> ())
-    end
-  in
-  start ();
-  let conn = ref (Service.Client.connect socket) in
-  let request (rq : Request.t) : Response.t =
-    match !conn with
-    | Error msg -> Response.transport ~node:rq.Request.rq_name msg
-    | Ok c -> Service.Client.request c rq
-  in
-  let reconnect () =
-    (match !conn with Ok c -> Service.Client.close c | Error _ -> ());
-    conn := Service.Client.connect socket
-  in
-  let outputs =
-    List.mapi
-      (fun i rq ->
-         if List.mem i kill_at then begin
-           kill ();
-           let r = request rq in
-           if r.Response.rs_status <> Response.Stransport then
-             bad "request %s against a killed daemon returned %s, expected \
-                  a transport failure"
-               rq.Request.rq_name
-               (Response.status_to_string r.Response.rs_status);
-           start ();
-           reconnect ();
-           let r = request rq in
-           if r.Response.rs_status <> Response.Sok then
-             bad "retry of %s after restart not ok (%s)" rq.Request.rq_name
-               (Response.status_to_string r.Response.rs_status);
-           r.Response.rs_output
-         end
-         else begin
-           let r = request rq in
-           if r.Response.rs_status <> Response.Sok then
-             bad "request %s not ok (%s)" rq.Request.rq_name
-               (Response.status_to_string r.Response.rs_status);
-           r.Response.rs_output
-         end)
-      requests
-  in
-  (* clean shutdown of the surviving daemon: shutdown frame, exit 0.
-     If the connection was lost, fall back to SIGTERM (also a clean
-     path: fcd's handler winds the accept loop down to exit 0), and
-     never block forever on the reap — a daemon that ignores both is a
-     containment failure to report, not a harness hang. *)
-  (match !conn with
-   | Ok c -> Service.Client.shutdown c
-   | Error _ ->
-     bad "connection to the surviving daemon was lost at shutdown time";
-     if !pid > 0 then
-       (try Unix.kill !pid Sys.sigterm with Unix.Unix_error _ -> ()));
-  (if !pid > 0 then
-     let deadline = Unix.gettimeofday () +. 10.0 in
-     let rec reap () =
-       match Unix.waitpid [ Unix.WNOHANG ] !pid with
-       | 0, _ ->
-         if Unix.gettimeofday () > deadline then begin
-           bad "daemon did not exit within 10s of shutdown; killed";
-           (try Unix.kill !pid Sys.sigkill with Unix.Unix_error _ -> ());
-           ignore (Unix.waitpid [] !pid)
-         end
-         else begin
-           Unix.sleepf 0.02;
-           reap ()
-         end
-       | _, Unix.WEXITED 0 -> ()
-       | _, _ -> bad "daemon did not exit cleanly on the shutdown frame"
-     in
-     try reap () with Unix.Unix_error _ -> ());
-  (try Unix.close devnull with Unix.Unix_error _ -> ());
-  List.iteri
-    (fun i out ->
-       if out <> List.nth reference i then
-         bad "response for %s diverged from the cold batch reference"
-           (fst (List.nth named i)))
-    outputs;
-  rm_rf dir;
-  List.rev !problems
+(* A live fcd child as a leg sees it. *)
+type daemon = {
+  socket : string;
+  signal : int -> unit;    (* deliver a signal to the current daemon *)
+  restart : unit -> unit;  (* SIGKILL (if still alive) and reap the
+                              daemon, clear the stale socket, start a
+                              fresh daemon on the same path (and the
+                              same store) *)
+  bad : string -> unit;    (* record a violation *)
+}
 
-(* ---- hostile-input legs: the service's wire-level fault surface ------ *)
-
-(* Spawn a daemon for one hostile leg, run [f] against it, then shut it
+(* Spawn a daemon in a fresh tmp dir, run [f] against it, then shut it
    down cleanly and *check the exit status*: nothing a hostile peer did
    during the leg may leak into the daemon's exit — a daemon that dies
    nonzero from a contained connection failure is itself a containment
-   violation. [restart] is for legs that SIGKILL the daemon: it reaps
-   the corpse, removes the stale socket and starts a fresh daemon on
-   the same path. *)
-let with_fcd ~(leg : string) ~(fcd_exe : string) ?pending_budget
-    ?read_timeout_ms
-    (f :
-       bad:(string -> unit) -> socket:string -> pid:int ref ->
-       restart:(unit -> unit) -> unit) : string list =
+   violation. [store] gives the daemon a persistent store that
+   survives [restart]. Shutdown falls back to SIGTERM (also a clean
+   path) when the socket is gone, and the reap never blocks forever: a
+   daemon that ignores both is a violation to report, not a hang. *)
+let with_fcd ?(store = false) ?pending_budget ?read_timeout_ms (ctx : ctx)
+    (f : daemon -> unit) : string list =
   (* raw hostile writes against a daemon that already hung up must
      surface as EPIPE, not kill the harness *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let problems = ref [] in
-  let bad s = problems := (leg ^ ": " ^ s) :: !problems in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fcchaos-%s-%d" leg (Unix.getpid ()))
-  in
-  rm_rf dir;
-  Sys.mkdir dir 0o755;
-  let socket = Filename.concat dir "fcd.sock" in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-  let pid = ref (-1) in
-  let start () =
-    pid :=
-      Service.spawn ~stderr_to:devnull
-        (Service.daemon_argv ~exe:fcd_exe ~socket ?pending_budget
-           ?read_timeout_ms ());
-    if not (Service.wait_for_path socket) then
-      bad "daemon socket never appeared"
-  in
-  let restart () =
-    (* only legal after the old daemon was killed: reap the corpse so
-       the harness leaks no zombies, clear the stale socket so
-       [wait_for_path] waits for the NEW daemon's bind *)
-    if !pid > 0 then begin
-      (try ignore (Unix.waitpid [] !pid) with Unix.Unix_error _ -> ());
-      pid := -1
-    end;
-    (try Sys.remove socket with Sys_error _ -> ());
-    start ()
-  in
-  start ();
-  (try f ~bad ~socket ~pid ~restart
-   with e -> bad ("leg raised: " ^ Printexc.to_string e));
-  (* clean shutdown, and the daemon must exit 0 *)
-  (match Service.Client.connect socket with
-   | Ok c -> Service.Client.shutdown c
-   | Error msg ->
-     bad ("cannot connect for shutdown: " ^ msg);
-     if !pid > 0 then
-       (try Unix.kill !pid Sys.sigterm with Unix.Unix_error _ -> ()));
-  (if !pid > 0 then begin
-     let deadline = Unix.gettimeofday () +. 10.0 in
-     let rec reap () =
-       match Unix.waitpid [ Unix.WNOHANG ] !pid with
-       | 0, _ ->
-         if Unix.gettimeofday () > deadline then begin
-           bad "daemon did not exit within 10s of shutdown; killed";
-           (try Unix.kill !pid Sys.sigkill with Unix.Unix_error _ -> ());
-           ignore (Unix.waitpid [] !pid)
-         end
-         else begin
-           Unix.sleepf 0.02;
-           reap ()
-         end
-       | _, Unix.WEXITED 0 -> ()
-       | _, Unix.WEXITED n ->
-         bad (Printf.sprintf "daemon exited %d after the leg" n)
-       | _, _ -> bad "daemon died on a signal after the leg"
-     in
-     try reap () with Unix.Unix_error _ -> ()
-   end);
-  (try Unix.close devnull with Unix.Unix_error _ -> ());
-  rm_rf dir;
+  let bad s = problems := s :: !problems in
+  with_tmp_dir (fun dir ->
+      let socket = Filename.concat dir "fcd.sock" in
+      let cache_dir =
+        if store then Some (Filename.concat dir "store") else None
+      in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
+      let pid = ref (-1) in
+      let start () =
+        pid :=
+          Service.spawn ~stderr_to:devnull
+            (Service.daemon_argv ~exe:(Option.get ctx.fcd_exe) ~socket
+               ?cache_dir ?pending_budget ?read_timeout_ms ());
+        if not (Service.wait_for_path socket) then
+          bad "daemon socket never appeared"
+      in
+      let signal s =
+        if !pid > 0 then try Unix.kill !pid s with Unix.Unix_error _ -> ()
+      in
+      let restart () =
+        (* kill before the blocking reap, so a daemon a leg failed to
+           kill cannot hang the harness; remove the stale path so
+           [wait_for_path] waits for the NEW daemon's bind *)
+        if !pid > 0 then begin
+          signal Sys.sigkill;
+          (try ignore (Unix.waitpid [] !pid) with Unix.Unix_error _ -> ());
+          pid := -1
+        end;
+        (try Sys.remove socket with Sys_error _ -> ());
+        start ()
+      in
+      start ();
+      (try f { socket; signal; restart; bad }
+       with e -> bad ("leg raised: " ^ Printexc.to_string e));
+      (match Service.Client.connect socket with
+       | Ok c -> Service.Client.shutdown c
+       | Error msg ->
+         bad ("cannot connect for shutdown: " ^ msg);
+         signal Sys.sigterm);
+      (if !pid > 0 then
+         let deadline = Unix.gettimeofday () +. 10.0 in
+         let rec reap () =
+           match Unix.waitpid [ Unix.WNOHANG ] !pid with
+           | 0, _ ->
+             if Unix.gettimeofday () > deadline then begin
+               bad "daemon did not exit within 10s of shutdown; killed";
+               signal Sys.sigkill;
+               ignore (Unix.waitpid [] !pid)
+             end
+             else begin
+               Unix.sleepf 0.02;
+               reap ()
+             end
+           | _, Unix.WEXITED 0 -> ()
+           | _, Unix.WEXITED n ->
+             bad (Printf.sprintf "daemon exited %d after the leg" n)
+           | _, _ -> bad "daemon died on a signal after the leg"
+         in
+         try reap () with Unix.Unix_error _ -> ());
+      try Unix.close devnull with Unix.Unix_error _ -> ());
   List.rev !problems
+
+(* One request on a fresh connection; a failed connect is a transport
+   failure like any other. *)
+let request_once (socket : string) (p : probe) : Response.t =
+  match Service.Client.connect socket with
+  | Error msg -> Response.transport ~node:p.pr_name msg
+  | Ok c ->
+    let r = Service.Client.request ~timeout_s:60.0 c p.pr_rq in
+    Service.Client.close c;
+    r
+
+(* [request_once] under the retry policy (20 ms base backoff). *)
+let retry ?(attempts = Retry.default.Retry.r_attempts) ?on_retry ~(seed : int)
+    (d : daemon) (p : probe) : Response.t =
+  fst
+    (Retry.run
+       ~policy:
+         { Retry.default with
+           Retry.r_attempts = attempts; r_base_ms = 20; r_seed = seed }
+       ?on_retry
+       (fun ~attempt:_ -> request_once d.socket p))
+
+(* An answer must be [Sok] and byte-identical to the cold batch run. *)
+let expect_answer (d : daemon) ~(note : string) (p : probe) (r : Response.t) :
+  unit =
+  if r.Response.rs_status <> Response.Sok then
+    d.bad
+      (Printf.sprintf "%s: request %s not ok (%s)" note p.pr_name
+         (Response.status_to_string r.Response.rs_status))
+  else if r.Response.rs_output <> p.pr_expect then
+    d.bad
+      (Printf.sprintf "%s: response for %s diverged from the cold batch \
+                       reference" note p.pr_name)
+
+(* A request the daemon cannot answer must be a transport failure —
+   never a wrong answer. *)
+let expect_transport (d : daemon) ~(what : string) (r : Response.t) : unit =
+  if r.Response.rs_status <> Response.Stransport then
+    d.bad
+      (Printf.sprintf "%s returned %s, expected a transport failure" what
+         (Response.status_to_string r.Response.rs_status))
 
 let raw_connect (socket : string) : Unix.file_descr option =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -497,355 +457,274 @@ let raw_connect (socket : string) : Unix.file_descr option =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     None
 
-let raw_send (fd : Unix.file_descr) (s : string) : bool =
-  let b = Bytes.of_string s in
-  match
-    let pos = ref 0 in
-    while !pos < Bytes.length b do
-      pos := !pos + Unix.write fd b !pos (Bytes.length b - !pos)
-    done
-  with
-  | () -> true
-  | exception Unix.Unix_error _ -> false
+let raw_close (fd : Unix.file_descr) : unit =
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let raw_reader ?(timeout_s = 10.0) (fd : Unix.file_descr) : Wire.fd_reader =
   let rd = Wire.fd_reader fd in
   Wire.set_read_timeout rd (Some timeout_s);
   rd
 
+(* A hostile peer: connect raw, write [bytes] verbatim, hand the
+   connection to [k], hang up. *)
+let raw_exchange (d : daemon) ~(what : string) ?timeout_s (bytes : string)
+    (k : Unix.file_descr -> Wire.fd_reader -> unit) : unit =
+  match raw_connect d.socket with
+  | None -> d.bad ("connect for " ^ what ^ " failed")
+  | Some fd ->
+    let b = Bytes.of_string bytes in
+    (match
+       let pos = ref 0 in
+       while !pos < Bytes.length b do
+         pos := !pos + Unix.write fd b !pos (Bytes.length b - !pos)
+       done
+     with
+     | () -> k fd (raw_reader ?timeout_s fd)
+     | exception Unix.Unix_error _ -> d.bad ("could not send " ^ what));
+    raw_close fd
+
 let frame_desc : Wire.frame -> string = function
   | Wire.Frame (k, _) -> Printf.sprintf "a %S frame" k
   | Wire.Eof -> "EOF"
   | Wire.Bad m -> Printf.sprintf "protocol error %S" m
 
-let raw_close (fd : Unix.file_descr) : unit =
-  try Unix.close fd with Unix.Unix_error _ -> ()
+let read_frame (rd : Wire.fd_reader) : Wire.frame =
+  Wire.read_frame_fd ~idle_timeout:true rd
 
-(* One (request, cold-batch expectation) the hostile legs replay to
-   prove the daemon still answers correctly after the hostility. *)
-type probe = { pr_name : string; pr_rq : Request.t; pr_expect : string }
+(* The next frame must be an err frame (naming [sub], when given). *)
+let expect_err (d : daemon) ~(what : string) ?sub (rd : Wire.fd_reader) :
+  unit =
+  match read_frame rd with
+  | Wire.Frame ("err", msg) ->
+    if not (Option.fold ~none:true ~some:(has_sub msg) sub) then
+      d.bad (Printf.sprintf "%s refused with unexpected message: %s" what msg)
+  | f ->
+    d.bad
+      (Printf.sprintf "%s answered with %s, expected an err frame" what
+         (frame_desc f))
 
-let client_probe ~(bad : string -> unit) ~(socket : string) ~(note : string)
-    (p : probe) : unit =
-  match Service.Client.connect socket with
-  | Error msg -> bad (Printf.sprintf "%s: connect failed: %s" note msg)
-  | Ok c ->
-    let r = Service.Client.request ~timeout_s:60.0 c p.pr_rq in
-    Service.Client.close c;
-    if r.Response.rs_status <> Response.Sok then
-      bad
-        (Printf.sprintf "%s: request %s not ok (%s)" note p.pr_name
-           (Response.status_to_string r.Response.rs_status))
-    else if r.Response.rs_output <> p.pr_expect then
-      bad
-        (Printf.sprintf "%s: response for %s diverged from the cold batch \
-                         reference" note p.pr_name)
+(* SIGKILL the daemon under two seeded requests of a request stream on
+   one connection. The in-flight request surfaces as a transport
+   failure (never a wrong answer), the retry against a restarted
+   daemon — same socket, same disk store — succeeds, and every answer
+   is byte-identical to a cold in-process batch run. *)
+let fcd_kill_restart (ctx : ctx) : string list =
+  let n = List.length ctx.probes in
+  let rng = Random.State.make [| ctx.seed; 0xfcd |] in
+  let kill_at =
+    if n < 2 then []
+    else
+      let a = Random.State.int rng n in
+      [ a; (a + 1 + Random.State.int rng (n - 1)) mod n ]
+  in
+  with_fcd ctx ~store:true (fun d ->
+      let conn = ref (Service.Client.connect d.socket) in
+      let request p =
+        match !conn with
+        | Error msg -> Response.transport ~node:p.pr_name msg
+        | Ok c -> Service.Client.request ~timeout_s:60.0 c p.pr_rq
+      in
+      let close () =
+        match !conn with Ok c -> Service.Client.close c | Error _ -> ()
+      in
+      List.iteri
+        (fun i p ->
+           let killed = List.mem i kill_at in
+           if killed then begin
+             d.signal Sys.sigkill;
+             expect_transport d (request p)
+               ~what:(Printf.sprintf "request %s against a killed daemon"
+                        p.pr_name);
+             d.restart ();
+             close ();
+             conn := Service.Client.connect d.socket
+           end;
+           expect_answer d p (request p)
+             ~note:(if killed then "retry after restart" else "stream"))
+        ctx.probes;
+      close ())
 
 (* Hostile frames: an oversized length prefix must be refused before
    any allocation and poison the stream; a torn frame (header promises
    more payload than ever arrives) must cost only its own connection;
    well-framed garbage must cost only that request — and after all
    three the same daemon still serves a real request byte-identically. *)
-let oversized_frame_leg ~(fcd_exe : string) (p : probe) : string list =
-  with_fcd ~leg:"oversized-frame" ~fcd_exe
-    (fun ~bad ~socket ~pid:_ ~restart:_ ->
-       (* (a) hostile length prefix, far beyond any legal frame *)
-       (match raw_connect socket with
-        | None -> bad "connect for the oversized prefix failed"
-        | Some fd ->
-          let rd = raw_reader fd in
-          if raw_send fd "fcd1 req 999999999999\n" then begin
-            (match Wire.read_frame_fd ~idle_timeout:true rd with
-             | Wire.Frame ("err", _) -> ()
-             | f ->
-               bad
-                 (Printf.sprintf
-                    "oversized prefix answered with %s, expected an err frame"
-                    (frame_desc f)));
-            match Wire.read_frame_fd ~idle_timeout:true rd with
-            | Wire.Eof -> ()
-            | f ->
-              bad
-                (Printf.sprintf
-                   "stream not poisoned after an oversized prefix (%s)"
-                   (frame_desc f))
-          end
-          else bad "could not send the oversized prefix";
-          raw_close fd);
-       (* (b) torn frame: promise 100 payload bytes, send 10, hang up *)
-       (match raw_connect socket with
-        | None -> bad "connect for the torn frame failed"
-        | Some fd ->
-          let rd = raw_reader fd in
-          if raw_send fd "fcd1 req 100\n0123456789" then begin
-            (try Unix.shutdown fd Unix.SHUTDOWN_SEND
-             with Unix.Unix_error _ -> ());
-            match Wire.read_frame_fd ~idle_timeout:true rd with
-            | Wire.Frame ("err", msg) ->
-              if not (has_sub msg "truncated") then
-                bad ("torn frame refused with unexpected message: " ^ msg)
-            | f ->
-              bad
-                (Printf.sprintf
-                   "torn frame answered with %s, expected an err frame"
-                   (frame_desc f))
-          end
-          else bad "could not send the torn frame";
-          raw_close fd);
-       (* (c) well-framed garbage costs the request, not the
-          connection: the same connection then serves a real request *)
-       (match raw_connect socket with
-        | None -> bad "connect for the garbage frame failed"
-        | Some fd ->
-          let rd = raw_reader ~timeout_s:60.0 fd in
-          if raw_send fd "fcd1 req 9\ngarbage!!" then begin
-            (match Wire.read_frame_fd ~idle_timeout:true rd with
-             | Wire.Frame ("err", _) -> ()
-             | f ->
-               bad
-                 (Printf.sprintf
-                    "garbage request answered with %s, expected an err frame"
-                    (frame_desc f)));
+let oversized_frame (ctx : ctx) (p : probe) : string list =
+  with_fcd ctx (fun d ->
+      (* (a) hostile length prefix, far beyond any legal frame *)
+      raw_exchange d ~what:"the oversized prefix" "fcd1 req 999999999999\n"
+        (fun _ rd ->
+           expect_err d ~what:"oversized prefix" rd;
+           match read_frame rd with
+           | Wire.Eof -> ()
+           | f ->
+             d.bad
+               (Printf.sprintf
+                  "stream not poisoned after an oversized prefix (%s)"
+                  (frame_desc f)));
+      (* (b) torn frame: promise 100 payload bytes, send 10, hang up *)
+      raw_exchange d ~what:"the torn frame" "fcd1 req 100\n0123456789"
+        (fun fd rd ->
+           (try Unix.shutdown fd Unix.SHUTDOWN_SEND
+            with Unix.Unix_error _ -> ());
+           expect_err d ~what:"torn frame" ~sub:"truncated" rd);
+      (* (c) well-framed garbage costs the request, not the
+         connection: the same connection then serves a real request *)
+      raw_exchange d ~what:"the garbage frame" ~timeout_s:60.0
+        "fcd1 req 9\ngarbage!!" (fun fd rd ->
+            expect_err d ~what:"garbage request" rd;
             match
               Wire.write_frame_fd fd ~kind:"req" (Request.to_wire p.pr_rq)
             with
+            | exception Unix.Unix_error _ ->
+              d.bad "connection closed by well-framed garbage"
             | () ->
-              (match Wire.read_frame_fd ~idle_timeout:true rd with
+              (match read_frame rd with
                | Wire.Frame ("resp", payload) ->
                  (match Response.of_wire payload with
-                  | Ok r ->
-                    if r.Response.rs_output <> p.pr_expect then
-                      bad "response after garbage diverged from the cold \
-                           batch reference"
-                  | Error e -> bad ("undecodable response after garbage: " ^ e))
+                  | Ok r -> expect_answer d ~note:"after garbage" p r
+                  | Error e ->
+                    d.bad ("undecodable response after garbage: " ^ e))
                | f ->
-                 bad
+                 d.bad
                    (Printf.sprintf
                       "connection poisoned by well-framed garbage (%s)"
-                      (frame_desc f)))
-            | exception Unix.Unix_error _ ->
-              bad "connection closed by well-framed garbage"
-          end
-          else bad "could not send the garbage frame";
-          raw_close fd);
-       (* (d) a fresh connection still gets the right answer *)
-       client_probe ~bad ~socket ~note:"after hostile frames" p)
+                      (frame_desc f))));
+      (* (d) a fresh connection still gets the right answer *)
+      expect_answer d ~note:"after hostile frames" p (request_once d.socket p))
 
 (* Slow-loris: a peer that commits to a frame and then stalls past the
    daemon's read timeout is poisoned (err frame naming the timeout,
    hang up) — and the daemon immediately serves the next client. *)
-let slow_loris_leg ~(fcd_exe : string) (p : probe) : string list =
-  with_fcd ~leg:"slow-loris" ~fcd_exe ~read_timeout_ms:250
-    (fun ~bad ~socket ~pid:_ ~restart:_ ->
-       (match raw_connect socket with
-        | None -> bad "connect failed"
-        | Some fd ->
-          let rd = raw_reader fd in
-          (* half a header, then silence: past --read-timeout-ms the
-             daemon must poison the stream, not wait us out *)
-          if raw_send fd "fcd1 re" then begin
-            match Wire.read_frame_fd ~idle_timeout:true rd with
-            | Wire.Frame ("err", msg) ->
-              if not (has_sub msg "timed out") then
-                bad ("stalled sender refused with unexpected message: " ^ msg)
-            | f ->
-              bad
-                (Printf.sprintf
-                   "stalled sender answered with %s, expected an err frame"
-                   (frame_desc f))
-          end
-          else bad "could not send the partial header";
-          raw_close fd);
-       client_probe ~bad ~socket ~note:"after the slow-loris peer" p)
+let slow_loris (ctx : ctx) (p : probe) : string list =
+  with_fcd ctx ~read_timeout_ms:250 (fun d ->
+      (* half a header, then silence: past --read-timeout-ms the daemon
+         must poison the stream, not wait us out *)
+      raw_exchange d ~what:"the partial header" "fcd1 re" (fun _ rd ->
+          expect_err d ~what:"stalled sender" ~sub:"timed out" rd);
+      expect_answer d ~note:"after the slow-loris peer" p
+        (request_once d.socket p))
 
 (* SIGSTOP'd daemon: the client's deadline fires (a transport failure,
    never a hang, never a wrong answer); after SIGCONT the retry policy
    reconnects and succeeds byte-identically. *)
-let sigstop_deadline_leg ~(fcd_exe : string) (p : probe) : string list =
-  with_fcd ~leg:"sigstop-deadline" ~fcd_exe
-    (fun ~bad ~socket ~pid ~restart:_ ->
-       match Service.Client.connect socket with
-       | Error msg -> bad ("connect failed: " ^ msg)
-       | Ok c ->
-         (try Unix.kill !pid Sys.sigstop with Unix.Unix_error _ -> ());
-         let r =
-           Service.Client.request ~timeout_s:0.5 c
-             { p.pr_rq with Request.rq_deadline_ms = Some 400 }
-         in
-         if r.Response.rs_status <> Response.Stransport then
-           bad
-             (Printf.sprintf
-                "request against a stopped daemon returned %s, expected a \
-                 transport failure"
-                (Response.status_to_string r.Response.rs_status));
-         Service.Client.close c;
-         (try Unix.kill !pid Sys.sigcont with Unix.Unix_error _ -> ());
-         (* the retry policy's reconnect-per-attempt path succeeds *)
-         let r, attempts =
-           Retry.run
-             ~policy:{ Retry.default with Retry.r_base_ms = 20; r_seed = 1 }
-             (fun ~attempt:_ ->
-                match Service.Client.connect socket with
-                | Error msg -> Response.transport ~node:p.pr_name msg
-                | Ok c ->
-                  let r = Service.Client.request ~timeout_s:60.0 c p.pr_rq in
-                  Service.Client.close c;
-                  r)
-         in
-         if r.Response.rs_status <> Response.Sok then
-           bad
-             (Printf.sprintf "retry after SIGCONT not ok (%s, %d attempts)"
-                (Response.status_to_string r.Response.rs_status)
-                attempts)
-         else if r.Response.rs_output <> p.pr_expect then
-           bad "retried response diverged from the cold batch reference")
-
-(* ENOSPC-style store write failure, in-process: every 2-hex fanout
-   slot of the store directory is pre-created as a regular FILE, so
-   every entry write fails (ENOTDIR under the slot) and every load
-   misses — injected persistent-store write failure without filling a
-   disk. The contract: the run behaves exactly like an uncached one —
-   zero failures, reference-identical bytes, silent miss. *)
-let enospc_store_leg ~(base : Toolchain.config) ~(reference : string array)
-    (named : (string * Minic.Ast.program) list) : string list =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fcchaos-enospc-%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  Sys.mkdir dir 0o755;
-  let hex = "0123456789abcdef" in
-  String.iter
-    (fun a ->
-       String.iter
-         (fun b ->
-            let oc =
-              open_out (Filename.concat dir (Printf.sprintf "%c%c" a b))
-            in
-            close_out oc)
-         hex)
-    hex;
-  let cache = Wcet.Memo.create ~dir () in
-  let outcomes =
-    Par.map_list ~jobs:2
-      (fun (name, src) ->
-         Par.chain_node
-           ~config:{ base with Toolchain.cache = Some cache }
-           name src)
-      named
-  in
-  let ps = check_leg ~plan:[] ~reference named "enospc-store" outcomes in
-  rm_rf dir;
-  ps
+let sigstop_deadline (ctx : ctx) (p : probe) : string list =
+  with_fcd ctx (fun d ->
+      match Service.Client.connect d.socket with
+      | Error msg -> d.bad ("connect failed: " ^ msg)
+      | Ok c ->
+        d.signal Sys.sigstop;
+        expect_transport d ~what:"request against a stopped daemon"
+          (Service.Client.request ~timeout_s:0.5 c
+             { p.pr_rq with Request.rq_deadline_ms = Some 400 });
+        Service.Client.close c;
+        d.signal Sys.sigcont;
+        expect_answer d ~note:"retry after SIGCONT" p (retry ~seed:1 d p))
 
 (* Overload + crash: with a pending budget of 1, park one connection in
    service and one in the queue so the next arrival is shed with a fast
    busy frame; the shed request is retried to success once the load
    drains. Then SIGKILL the daemon and retry the next request through a
    restart. Every answered byte matches the cold batch reference. *)
-let kill_under_load_leg ~(fcd_exe : string) (work : probe list) : string list =
-  with_fcd ~leg:"kill-under-load" ~fcd_exe ~pending_budget:1
-    (fun ~bad ~socket ~pid ~restart ->
-       match work with
-       | [] -> ()
-       | p0 :: rest ->
-         (* phase 1: saturate. [load_a] is meant to be in service
-            (blocked on its first header byte — idle is legal) while
-            [load_b] fills the budget-1 pending queue. But if the
-            daemon is still mid-startup both loads sit in the listen
-            backlog and get drained in ONE accept batch, shedding
-            [load_b] itself — a later arrival would then be queued,
-            not shed. So saturation is OBSERVED, not assumed: probe
-            with raw connections until one reads a busy frame. A probe
-            that times out instead was queued, and (closed or not) it
-            keeps holding the queue slot until the serve loop reaps
-            it, so the next probe is deterministically shed. *)
-         let load_a = raw_connect socket in
-         Unix.sleepf 0.1;
-         let load_b = raw_connect socket in
-         Unix.sleepf 0.1;
-         if load_a = None || load_b = None then
-           bad "load connections failed";
-         let drained = ref false in
-         let drain_load () =
-           if not !drained then begin
-             drained := true;
-             List.iter (Option.iter raw_close) [ load_a; load_b ]
-           end
-         in
-         let saw_busy = ref false in
-         let tries = ref 0 in
-         while (not !saw_busy) && !tries < 20 do
-           incr tries;
-           (match raw_connect socket with
-            | None -> Unix.sleepf 0.05
-            | Some fd ->
-              let rd = raw_reader ~timeout_s:2.0 fd in
-              (match Wire.read_frame_fd ~idle_timeout:true rd with
-               | Wire.Frame ("busy", _) -> saw_busy := true
-               | _ -> ());
-              raw_close fd)
-         done;
-         if not !saw_busy then
-           bad "saturated daemon never shed a request with a busy frame";
-         let r, attempts =
-           Retry.run
-             ~policy:
-               { Retry.default with Retry.r_attempts = 5; r_base_ms = 20;
-                 r_seed = 2 }
-             ~on_retry:(fun ~attempt:_ ~backoff_ms:_ (_ : Response.t) ->
-                 drain_load ())
-             (fun ~attempt:_ ->
-                match Service.Client.connect socket with
-                | Error msg -> Response.transport ~node:p0.pr_name msg
-                | Ok c ->
-                  let r = Service.Client.request ~timeout_s:60.0 c p0.pr_rq in
-                  Service.Client.close c;
-                  r)
-         in
-         if r.Response.rs_status <> Response.Sok then
-           bad
-             (Printf.sprintf
-                "shed request not retried to success (%s after %d attempts)"
-                (Response.status_to_string r.Response.rs_status)
-                attempts)
-         else if r.Response.rs_output <> p0.pr_expect then
-           bad "retried shed response diverged from the cold batch reference";
-         drain_load ();
-         (* phase 2: SIGKILL mid-stream, retry through a restart *)
-         match rest with
-         | [] -> ()
-         | p1 :: _ ->
-           (try Unix.kill !pid Sys.sigkill with Unix.Unix_error _ -> ());
-           let restarted = ref false in
-           let r, _ =
-             Retry.run
-               ~policy:
-                 { Retry.default with Retry.r_attempts = 5; r_base_ms = 20;
-                   r_seed = 3 }
-               ~on_retry:(fun ~attempt:_ ~backoff_ms:_ _ ->
-                   if not !restarted then begin
-                     restarted := true;
-                     restart ()
-                   end)
-               (fun ~attempt:_ ->
-                  match Service.Client.connect socket with
-                  | Error msg -> Response.transport ~node:p1.pr_name msg
-                  | Ok c ->
-                    let r = Service.Client.request ~timeout_s:60.0 c p1.pr_rq in
-                    Service.Client.close c;
-                    r)
-           in
-           if not !restarted then
-             bad "request against the killed daemon unexpectedly succeeded";
-           if r.Response.rs_status <> Response.Sok then
-             bad
-               (Printf.sprintf "retry through the restart not ok (%s)"
-                  (Response.status_to_string r.Response.rs_status))
-           else if r.Response.rs_output <> p1.pr_expect then
-             bad "post-restart response diverged from the cold batch \
-                  reference")
+let kill_under_load (ctx : ctx) : string list =
+  with_fcd ctx ~pending_budget:1 (fun d ->
+      match ctx.probes with
+      | [] -> ()
+      | p0 :: rest ->
+        (* phase 1: saturate. [load_a] is meant to be in service
+           (blocked on its first header byte — idle is legal) while
+           [load_b] fills the budget-1 pending queue. But if the daemon
+           is still mid-startup both loads sit in the listen backlog
+           and get drained in ONE accept batch, shedding [load_b]
+           itself — a later arrival would then be queued, not shed. So
+           saturation is OBSERVED, not assumed: probe with raw
+           connections until one reads a busy frame. A probe that
+           times out instead was queued, and (closed or not) it keeps
+           holding the queue slot until the serve loop reaps it, so the
+           next probe is deterministically shed. *)
+        let load_a = raw_connect d.socket in
+        Unix.sleepf 0.1;
+        let load_b = raw_connect d.socket in
+        Unix.sleepf 0.1;
+        if load_a = None || load_b = None then d.bad "load connections failed";
+        let drained = ref false in
+        let drain_load () =
+          if not !drained then begin
+            drained := true;
+            List.iter (Option.iter raw_close) [ load_a; load_b ]
+          end
+        in
+        let saw_busy = ref false and tries = ref 0 in
+        while (not !saw_busy) && !tries < 20 do
+          incr tries;
+          match raw_connect d.socket with
+          | None -> Unix.sleepf 0.05
+          | Some fd ->
+            (match read_frame (raw_reader ~timeout_s:2.0 fd) with
+             | Wire.Frame ("busy", _) -> saw_busy := true
+             | _ -> ());
+            raw_close fd
+        done;
+        if not !saw_busy then
+          d.bad "saturated daemon never shed a request with a busy frame";
+        expect_answer d ~note:"shed request retried" p0
+          (retry ~attempts:5 ~seed:2 d p0
+             ~on_retry:(fun ~attempt:_ ~backoff_ms:_ _ -> drain_load ()));
+        drain_load ();
+        (* phase 2: SIGKILL mid-stream, retry through a restart *)
+        match rest with
+        | [] -> ()
+        | p1 :: _ ->
+          d.signal Sys.sigkill;
+          let restarted = ref false in
+          let r =
+            retry ~attempts:5 ~seed:3 d p1
+              ~on_retry:(fun ~attempt:_ ~backoff_ms:_ _ ->
+                  if not !restarted then begin
+                    restarted := true;
+                    d.restart ()
+                  end)
+          in
+          if not !restarted then
+            d.bad "request against the killed daemon unexpectedly succeeded";
+          expect_answer d ~note:"retry through the restart" p1 r)
+
+(* ---- the leg table --------------------------------------------------- *)
+
+type leg = {
+  name : string;
+  needs_fcd : bool;                (* skipped without a daemon binary *)
+  run : ctx -> string list;        (* the leg's violations *)
+}
+
+(* The hostile legs replay probe [i] (cycling); an empty workload has
+   nothing to replay. *)
+let on_probe (i : int) (leg : ctx -> probe -> string list) (ctx : ctx) :
+  string list =
+  match ctx.probes with
+  | [] -> []
+  | ps -> leg ctx (List.nth ps (i mod List.length ps))
+
+let legs : leg list =
+  let inproc name run = { name; needs_fcd = false; run } in
+  let daemon name run = { name; needs_fcd = true; run } in
+  [ inproc "j1/nocache" (batch_leg ~jobs:1 ~memo:false);
+    inproc "j4/nocache" (batch_leg ~jobs:4 ~memo:false);
+    inproc "j1/memcache" (batch_leg ~jobs:1 ~memo:true);
+    inproc "j4/memcache" (batch_leg ~jobs:4 ~memo:true);
+    inproc "j4/stream/memcache" stream_leg;
+    (* read corruption: warm a store, truncate every entry mid-byte *)
+    inproc "truncated-store"
+      (store_leg (fun ctx dir ->
+           ignore (run_on_store ctx dir);
+           truncate_store dir));
+    (* write failure: every entry write fails *)
+    inproc "enospc-store" (store_leg (fun _ dir -> clog_fanout dir));
+    daemon "fcd-kill-restart" fcd_kill_restart;
+    daemon "oversized-frame" (on_probe 0 oversized_frame);
+    daemon "slow-loris" (on_probe 0 slow_loris);
+    daemon "sigstop-deadline" (on_probe 1 sigstop_deadline);
+    daemon "kill-under-load" kill_under_load ]
 
 type report = {
   ch_nodes : int;
@@ -854,11 +733,8 @@ type report = {
   ch_problems : string list;  (* empty = every containment check held *)
 }
 
-(* Run the whole chaos matrix. [victims] faults are injected into a
-   [nodes]-node workload; each leg re-runs the faulted workload under a
-   different (jobs x cache) configuration and is checked against the
-   fault-free reference. The final leg corrupts a warmed persistent
-   store and re-runs *fault-free*: corruption must be invisible.
+(* Run every leg of the table (the daemon legs only with [fcd_exe])
+   against one [nodes]-node workload with [victims] seeded faults.
 
    [engine] applies to the reference and every leg alike, so the
    containment contract (survivors byte-identical to the reference) is
@@ -866,15 +742,13 @@ type report = {
    contained "analysis diverged" refusal under [Ffuel]. *)
 let run ?(seed = 20260806) ?(nodes = 14) ?(victims = 3)
     ?(engine = Wcet.Report.Ipet) ?fcd_exe () : report =
-  let program = Scade.Workload.flight_program ~nodes ~seed:2026 in
   let named =
     List.map
       (fun ((n : Scade.Symbol.node), src) -> (n.Scade.Symbol.n_name, src))
-      program
+      (Scade.Workload.flight_program ~nodes ~seed:2026)
   in
-  let nodes = List.length named in
-  let plan = make_plan ~seed ~nodes ~victims in
-  let base = Toolchain.with_engine engine Toolchain.default in
+  let plan = make_plan ~seed ~nodes:(List.length named) ~victims in
+  let base = { Toolchain.default with Toolchain.engine } in
   (* fault-free reference: sequential, cacheless *)
   let reference =
     Array.of_list
@@ -887,115 +761,18 @@ let run ?(seed = 20260806) ?(nodes = 14) ?(victims = 3)
                         ^ Diag.to_string d))
          named)
   in
-  let legs =
-    [ { leg_name = "j1/nocache"; leg_jobs = 1; leg_cache = (fun () -> None) };
-      { leg_name = "j4/nocache"; leg_jobs = 4; leg_cache = (fun () -> None) };
-      { leg_name = "j1/memcache"; leg_jobs = 1;
-        leg_cache = (fun () -> Some (Wcet.Memo.create ())) };
-      { leg_name = "j4/memcache"; leg_jobs = 4;
-        leg_cache = (fun () -> Some (Wcet.Memo.create ())) } ]
+  let probes =
+    if fcd_exe = None then [] else analyze_probes ~engine named
   in
-  let problems =
-    List.concat_map
-      (fun leg ->
-         check_leg ~plan ~reference named leg.leg_name
-           (run_leg ~plan ~base named leg))
-      legs
-  in
-  (* streaming leg: same faulted workload pulled shard by shard through
-     the bounded-buffer stream, mid-shard faults and all *)
-  let stream_leg_name = "j4/stream/memcache" in
-  let stream_problems =
-    check_leg ~plan ~reference named stream_leg_name
-      (run_leg_stream ~plan ~base ~shard_size:5 ~jobs:4
-         ~cache:(Some (Wcet.Memo.create ())) named)
-  in
-  (* persistent-store corruption leg: warm a store, truncate every
-     entry mid-byte, re-run fault-free — corruption is a miss, so the
-     run must have zero failures and reference-identical results *)
-  let store_problems =
-    let rng = Random.State.make [| seed |] in
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "fcchaos-%d-%d" seed (Random.State.bits rng))
-    in
-    rm_rf dir;  (* a previous run may have left the deterministic name *)
-    Sys.mkdir dir 0o755;
-    let warm = Wcet.Memo.create ~dir () in
-    let _ =
-      Par.map_list ~jobs:2
-        (fun (name, src) ->
-           Par.chain_node ~config:{ base with Toolchain.cache = Some warm }
-             name src)
-        named
-    in
-    truncate_store dir;
-    let cold = Wcet.Memo.create ~dir () in
-    let outcomes =
-      Par.map_list ~jobs:2
-        (fun (name, src) ->
-           Par.chain_node ~config:{ base with Toolchain.cache = Some cold }
-             name src)
-        named
-    in
-    let ps =
-      check_leg ~plan:[] ~reference named "truncated-store" outcomes
-    in
-    rm_rf dir;
-    ps
-  in
-  (* injected persistent-store WRITE failure (the truncated-store leg
-     above injects read corruption): always in-process, always runs *)
-  let enospc_problems = enospc_store_leg ~base ~reference named in
-  (* server legs (need the real daemon binary): kill/restart fcd
-     mid-request-stream, plus the hostile-input matrix — oversized and
-     torn frames, a stalled sender, a SIGSTOP'd daemon under a client
-     deadline, and overload shedding with a SIGKILL under load *)
-  let server_legs, server_problems =
-    match fcd_exe with
-    | None -> ([], [])
-    | Some exe ->
-      let probes =
-        let opts = Toolchain.request_opts ~engine () in
-        let s = Service.create () in
-        List.filteri (fun i _ -> i < 2) named
-        |> List.map (fun (name, src) ->
-            let rq =
-              Request.make ~name
-                ~action:
-                  (Request.Analyze
-                     { an_compare = false;
-                       an_simulate = false;
-                       an_annot = None })
-                ~opts
-                (Minic.Pp.program_to_string src)
-            in
-            { pr_name = name;
-              pr_rq = rq;
-              pr_expect = (Service.run_request s rq).Response.rs_output })
-      in
-      let nth_probe i = List.nth probes (i mod List.length probes) in
-      ( [ "fcd-kill-restart"; "oversized-frame"; "slow-loris";
-          "sigstop-deadline"; "kill-under-load" ],
-        server_leg ~seed ~engine ~fcd_exe:exe named
-        @ (if probes = [] then []
-           else
-             oversized_frame_leg ~fcd_exe:exe (nth_probe 0)
-             @ slow_loris_leg ~fcd_exe:exe (nth_probe 0)
-             @ sigstop_deadline_leg ~fcd_exe:exe (nth_probe 1)
-             @ kill_under_load_leg ~fcd_exe:exe probes) )
-  in
-  { ch_nodes = nodes;
-    ch_victims =
-      List.map (fun (i, f) -> (fst (List.nth named i), f)) plan;
-    ch_legs =
-      List.map (fun l -> l.leg_name) legs
-      @ [ stream_leg_name; "truncated-store"; "enospc-store" ]
-      @ server_legs;
+  let ctx = { plan; base; reference; named; probes; seed; fcd_exe } in
+  let ran = List.filter (fun l -> fcd_exe <> None || not l.needs_fcd) legs in
+  { ch_nodes = List.length named;
+    ch_victims = List.map (fun (i, f) -> (fst (List.nth named i), f)) plan;
+    ch_legs = List.map (fun l -> l.name) ran;
     ch_problems =
-      problems @ stream_problems @ store_problems @ enospc_problems
-      @ server_problems }
+      List.concat_map
+        (fun l -> List.map (fun p -> l.name ^ ": " ^ p) (l.run ctx))
+        ran }
 
 let print_report (ppf : Format.formatter) (r : report) : unit =
   Format.fprintf ppf "@[<v>chaos: %d nodes, %d faults injected@,"

@@ -3,13 +3,19 @@
 
     The harness runs a fault-free reference, injects a seeded set of
     per-node faults (corrupted source, analyzer refusal, starved
-    analysis fuel), re-runs the chain under a matrix of
-    (jobs x cache) legs plus a truncated-persistent-store leg, and
+    analysis fuel), re-runs the chain under a matrix of legs, and
     checks that: survivors are byte-identical to the reference, the
     diagnostics name exactly the victims at the expected stages, the
     exit code classifies the run, and store corruption causes zero
-    failures. [test/test_chaos.ml] and [bench --chaos] both drive
-    {!run}. *)
+    failures.
+
+    The legs are rows of one table inside the harness: a name, whether
+    the leg needs a real [fcd] binary, and a function from the shared
+    context (plan, base config, reference renderings, workload, cold
+    request probes, seed, daemon path) to the leg's violations. Adding
+    a leg is adding a row; the report's leg list and problem list are
+    derived from the rows that ran, in table order.
+    [test/test_chaos.ml] and [bench --chaos] both drive {!run}. *)
 
 type fault =
   | Fcorrupt_source  (** undeclared-variable write: fails typecheck *)
@@ -24,9 +30,12 @@ type plan = (int * fault) list
 val make_plan : seed:int -> nodes:int -> victims:int -> plan
 (** Victim indices and faults, a pure function of [seed]. *)
 
-val apply_fault : fault -> Minic.Ast.program -> Minic.Ast.program
-(** Source-level injection ({!Ffuel} leaves the source untouched — it
-    is injected through the per-node config instead). *)
+val apply_fault :
+  fault -> Toolchain.config -> Minic.Ast.program ->
+  Toolchain.config * Minic.Ast.program
+(** The node's faulted (config, source): {!Fcorrupt_source} and
+    {!Frefusal} edit the source; {!Ffuel} leaves the source untouched
+    and starves the config's [analysis_fuel] instead. *)
 
 val render_result : Par.node_result -> string
 (** Canonical byte rendering of one node's chain output; the
@@ -48,8 +57,10 @@ val run :
     exercised per engine (survivor byte-identity is well-defined
     within one engine).
 
-    Beyond the (jobs x cache) legs, the matrix always runs two store
-    legs: [truncated-store] (read corruption is a silent miss) and
+    The in-process legs always run, in this order: the (jobs x cache)
+    legs [j1/nocache], [j4/nocache], [j1/memcache], [j4/memcache], the
+    streaming leg [j4/stream/memcache], and two store legs:
+    [truncated-store] (read corruption is a silent miss) and
     [enospc-store] (entry WRITE failures are a silent miss — the run
     is byte-identical to an uncached one, zero failures).
 

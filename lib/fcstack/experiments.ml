@@ -472,7 +472,7 @@ let print_gvn_licm_json (ppf : Format.formatter) ?(nodes = 30) ?(seed = 2026)
    BENCH_engines.json is this output. *)
 let print_engines_json (ppf : Format.formatter) ?(nodes = 30) ?(seed = 2026)
     ?(config = Toolchain.default) () : unit =
-  let config = Toolchain.with_engine Wcet.Report.Both config in
+  let config = { config with Toolchain.engine = Wcet.Report.Both } in
   let measure (c : Toolchain.compiler) : int * int * int * int * int =
     let outcomes =
       map_workload ~config ~nodes ~seed
@@ -614,7 +614,7 @@ let print_overestimation (ppf : Format.formatter) ?(nodes = 20) ?(seed = 2026)
   Format.fprintf ppf "@]";
   Diag.print_summary ~total:nodes (Diag.errors_of outcomes)
 
-(* ---- scaling study (BENCH_scale.json) ------------------------------- *)
+(* ---- scaling study (bench -e scale) --------------------------------- *)
 
 (* Peak resident set, measured rather than asserted: a watcher Domain
    samples VmRSS from /proc/self/status while the leg runs. VmRSS (not

@@ -105,7 +105,7 @@ val print_engines_json :
     analysis (a violation is a refusal, summarized on stderr — never
     in the JSON). Pure JSON — the published BENCH_engines.json. *)
 
-(** {1 Scaling study (BENCH_scale.json)} *)
+(** {1 Scaling study ([bench -e scale])} *)
 
 type scale_leg = {
   sc_nodes : int;

@@ -6,8 +6,7 @@
    worlds, fuel ([Toolchain.request_opts]); session state (cache,
    jobs) deliberately cannot be expressed here. This module is also
    the one home of the CLI name<->variant maps for compilers and
-   engines: [Chain.compiler_of_string] is deprecated in its favor, and
-   [of_string (to_string c) = Ok c] is qcheck-pinned
+   engines, and [of_string (to_string c) = Ok c] is qcheck-pinned
    (test/test_service.ml). *)
 
 type compiler = Toolchain.compiler =

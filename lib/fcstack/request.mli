@@ -4,9 +4,9 @@
     be expressed here by construction.
 
     Also the one home of the CLI name<->variant maps for compilers and
-    engines: {!Chain.compiler_of_string} is deprecated in favor of
-    {!compiler_of_string}, and [of_string (to_string c) = Ok c] is
-    qcheck-pinned ([test/test_service.ml]). *)
+    engines ({!compiler_of_string} and friends), and
+    [of_string (to_string c) = Ok c] is qcheck-pinned
+    ([test/test_service.ml]). *)
 
 type compiler = Toolchain.compiler =
   | Cdefault_o0

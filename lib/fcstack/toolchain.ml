@@ -141,43 +141,3 @@ let of_session_request (s : session) (r : request_opts) : config =
     analysis_fuel = r.ro_analysis_fuel;
     passes = r.ro_passes;
     engine = r.ro_engine }
-
-let session_of_config (c : config) : session =
-  { ss_jobs = c.jobs; ss_cache = c.cache; ss_fail_fast = c.fail_fast;
-    ss_stream = c.stream }
-
-let request_of_config (c : config) : request_opts =
-  { ro_compiler = c.compiler;
-    ro_worlds = c.worlds;
-    ro_sim_fuel = c.sim_fuel;
-    ro_analysis_fuel = c.analysis_fuel;
-    ro_passes = c.passes;
-    ro_engine = c.engine }
-
-let config ?(jobs = 1) ?cache ?worlds ?(compiler = Cvcomp)
-    ?(fail_fast = false) ?sim_fuel ?(analysis_fuel = Wcet.Fuel.default)
-    ?(passes = Vcomp.Pass.default_options) ?(engine = Wcet.Report.Ipet)
-    ?stream () : config =
-  of_session_request
-    (session ~jobs ?cache ~fail_fast ?stream ())
-    (request_opts ~compiler ?worlds ?sim_fuel ~analysis_fuel ~passes ~engine
-       ())
-
-let with_jobs (jobs : int) (c : config) : config = { c with jobs = max 1 jobs }
-let with_cache (cache : Wcet.Memo.t option) (c : config) : config =
-  { c with cache }
-let with_worlds (worlds : int option) (c : config) : config = { c with worlds }
-let with_compiler (compiler : compiler) (c : config) : config =
-  { c with compiler }
-let with_fail_fast (fail_fast : bool) (c : config) : config =
-  { c with fail_fast }
-let with_sim_fuel (sim_fuel : int option) (c : config) : config =
-  { c with sim_fuel }
-let with_analysis_fuel (analysis_fuel : Wcet.Fuel.t) (c : config) : config =
-  { c with analysis_fuel }
-let with_passes (passes : Vcomp.Pass.options) (c : config) : config =
-  { c with passes }
-let with_engine (engine : Wcet.Report.engine) (c : config) : config =
-  { c with engine }
-let with_stream (stream : stream_opts option) (c : config) : config =
-  { c with stream }

@@ -157,10 +157,18 @@ let test_exit_codes () =
 
 (* ---- the chaos matrix ---- *)
 
+(* the in-process rows of the leg table, in table order *)
+let inproc_legs =
+  [ "j1/nocache"; "j4/nocache"; "j1/memcache"; "j4/memcache";
+    "j4/stream/memcache"; "truncated-store"; "enospc-store" ]
+
 let test_chaos_matrix () =
   let r = Fcstack.Chaos.run ~seed:20260806 ~nodes:10 ~victims:3 () in
   Alcotest.check Alcotest.int "three victims" 3
     (List.length r.Fcstack.Chaos.ch_victims);
+  (* without a daemon binary exactly the in-process rows run *)
+  Alcotest.check (Alcotest.list Alcotest.string) "in-process legs ran"
+    inproc_legs r.Fcstack.Chaos.ch_legs;
   Alcotest.check (Alcotest.list Alcotest.string) "no containment violations"
     [] r.Fcstack.Chaos.ch_problems
 
@@ -193,15 +201,14 @@ let test_chaos_server_leg () =
     let r =
       Fcstack.Chaos.run ~seed:20260806 ~nodes:6 ~victims:2 ~fcd_exe ()
     in
-    (* the full hostile-input matrix ran: kill/restart plus the four
-       resilience legs, and the always-on store-fault legs *)
-    List.iter
-      (fun leg ->
-         Alcotest.check Alcotest.bool (leg ^ " leg ran") true
-           (List.mem leg r.Fcstack.Chaos.ch_legs))
-      [ "fcd-kill-restart"; "oversized-frame"; "slow-loris";
-        "sigstop-deadline"; "kill-under-load"; "truncated-store";
-        "enospc-store" ];
+    (* every row of the leg table ran exactly once, in table order:
+       the in-process legs, then kill/restart and the four hostile
+       daemon legs *)
+    Alcotest.check (Alcotest.list Alcotest.string) "all legs ran"
+      (inproc_legs
+       @ [ "fcd-kill-restart"; "oversized-frame"; "slow-loris";
+           "sigstop-deadline"; "kill-under-load" ])
+      r.Fcstack.Chaos.ch_legs;
     Alcotest.check (Alcotest.list Alcotest.string) "no containment violations"
       [] r.Fcstack.Chaos.ch_problems
 
@@ -224,17 +231,12 @@ let survivors_identical_prop =
          in
          Fcstack.Par.map_list ~jobs
            (fun (i, (name, src)) ->
-              match List.assoc_opt i plan with
-              | None -> Fcstack.Par.chain_node ~config name src
-              | Some fault ->
-                let config =
-                  if fault = Fcstack.Chaos.Ffuel then
-                    { config with
-                      Fcstack.Toolchain.analysis_fuel = Wcet.Fuel.starved }
-                  else config
-                in
-                Fcstack.Par.chain_node ~config name
-                  (Fcstack.Chaos.apply_fault fault src))
+              let config, src =
+                match List.assoc_opt i plan with
+                | None -> (config, src)
+                | Some fault -> Fcstack.Chaos.apply_fault fault config src
+              in
+              Fcstack.Par.chain_node ~config name src)
            indexed
        in
        let reference =

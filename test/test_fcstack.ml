@@ -121,9 +121,7 @@ let test_band_o2_beats_vcomp_o1 () =
      the CompCert 1.7 middle end), the fully optimized default is
      ahead again *)
   let passes = Vcomp.Pass.level 1 in
-  let config =
-    Fcstack.Toolchain.(with_passes passes default)
-  in
+  let config = { Fcstack.Toolchain.default with passes } in
   let wr = Fcstack.Experiments.run_workload ~nodes:20 ~seed:4242 ~config () in
   let t c = Fcstack.Experiments.total wr c (fun p -> p.Fcstack.Experiments.pc_wcet) in
   let o2 = t Fcstack.Chain.Cdefault_o2 in
