@@ -55,6 +55,12 @@ let run (socket : string option) (stdio : bool) (ping_path : string option)
   match ping_path with
   | Some path -> ping path
   | None ->
+    (* Every fresh source stays in the session's memory memo, and under
+       the default major-GC pacing (space_overhead 120) each small
+       retained entry grows the heap by several times its size: the
+       faster the daemon answers, the faster its RSS climbs. Pin a
+       tighter pacing once, for the daemon's whole life. *)
+    Gc.set { (Gc.get ()) with Gc.space_overhead = 80 };
     let session =
       Service.create ~state:(Cliopts.session_of_opts ~jobs copts) ()
     in

@@ -61,24 +61,26 @@ let () =
      validator must reject the resulting allocation *)
   let corrupt () : bool =
     let g = res.Vcomp.Regalloc.ra_graph in
-    let found = ref false in
-    Hashtbl.iter
-      (fun a neighbors ->
-         if not !found then
-           Vcomp.Regalloc.RegSet.iter
+    let victim =
+      List.find_map
+        (fun a ->
+           List.find_map
              (fun b ->
-                if (not !found) && Vcomp.Rtl.reg_class f a = Vcomp.Rtl.reg_class f b
-                   && not
-                        (Vcomp.Regalloc.loc_equal
-                           (Vcomp.Regalloc.location res a)
-                           (Vcomp.Regalloc.location res b)) then begin
-                  Hashtbl.replace res.Vcomp.Regalloc.ra_alloc a
-                    (Vcomp.Regalloc.location res b);
-                  found := true
-                end)
-             neighbors)
-      g.Vcomp.Regalloc.g_adj;
-    !found
+                if Vcomp.Rtl.reg_class f a = Vcomp.Rtl.reg_class f b
+                && not
+                     (Vcomp.Regalloc.loc_equal
+                        (Vcomp.Regalloc.location res a)
+                        (Vcomp.Regalloc.location res b))
+                then Some (a, b)
+                else None)
+             (Vcomp.Regalloc.neighbours g a))
+        (Vcomp.Regalloc.registers g)
+    in
+    match victim with
+    | None -> false
+    | Some (a, b) ->
+      res.Vcomp.Regalloc.ra_alloc.(a) <- Some (Vcomp.Regalloc.location res b);
+      true
   in
   if corrupt () then
     match Vcomp.Regalloc.verify f res with

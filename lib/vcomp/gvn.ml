@@ -22,7 +22,11 @@
    time*", which the next execution of [n] silently changes. The
    transfer function therefore *invalidates* — drops — every binding
    mentioning node [n] before it (re)executes [n], so stale terms can
-   never witness a false equality.
+   never witness a false equality. The hash-cons tables keep a reverse
+   index of the nodes any term mentions, so invalidating a node no term
+   mentions — every pure operation whose arguments are all bound —
+   returns the environment untouched instead of filtering all of it;
+   [invalidate_naive], the plain filter, is the test oracle.
 
    The fixpoint runs under a fuel budget: if it has not converged
    within the budget, the pass skips the function (identity), never
@@ -42,15 +46,19 @@ type tkey =
   | Top of opkey * int list (* operation over term ids *)
 
 (* Hash-consing tables: structural term -> id, id -> set of nodes the
-   term mentions (for invalidation). *)
+   term mentions (for invalidation), and the reverse index: every node
+   some term mentions. A node absent from [mentioned] appears in no
+   binding of any environment, so invalidating it is the identity. *)
 type tables = {
   mutable next_id : int;
   ids : (tkey, int) Hashtbl.t;
   deps : (int, IntSet.t) Hashtbl.t;
+  mentioned : (Rtl.node, unit) Hashtbl.t;
 }
 
 let create_tables () : tables =
-  { next_id = 0; ids = Hashtbl.create 251; deps = Hashtbl.create 251 }
+  { next_id = 0; ids = Hashtbl.create 251; deps = Hashtbl.create 251;
+    mentioned = Hashtbl.create 61 }
 
 let term (tb : tables) (k : tkey) : int =
   match Hashtbl.find_opt tb.ids k with
@@ -62,7 +70,9 @@ let term (tb : tables) (k : tkey) : int =
     let d =
       match k with
       | Tinit _ -> IntSet.empty
-      | Topaque n | Targ (n, _) -> IntSet.singleton n
+      | Topaque n | Targ (n, _) ->
+        Hashtbl.replace tb.mentioned n ();
+        IntSet.singleton n
       | Top (_, args) ->
         List.fold_left
           (fun acc a -> IntSet.union acc (Hashtbl.find tb.deps a))
@@ -79,9 +89,17 @@ let opkey (op : Rtl.operation) : opkey =
 (* Abstract environment: register -> term id; absent = unknown. *)
 type env = int RegMap.t
 
-(* Drop every binding whose term mentions node [n]. *)
-let invalidate (tb : tables) (n : Rtl.node) (e : env) : env =
+let mentions (tb : tables) (n : Rtl.node) : bool = Hashtbl.mem tb.mentioned n
+
+(* Drop every binding whose term mentions node [n], by a filter over
+   the whole environment. *)
+let invalidate_naive (tb : tables) (n : Rtl.node) (e : env) : env =
   RegMap.filter (fun _ t -> not (IntSet.mem n (Hashtbl.find tb.deps t))) e
+
+(* The same result, skipping the filter when no term mentions [n] —
+   the case of every pure operation whose arguments are all bound. *)
+let invalidate (tb : tables) (n : Rtl.node) (e : env) : env =
+  if mentions tb n then invalidate_naive tb n e else e
 
 (* Resolve the arguments of node [n]; unmapped arguments are named
    [Targ (n, i)] and the name is recorded for the argument register
@@ -101,7 +119,8 @@ let resolve_args (tb : tables) (n : Rtl.node) (args : Rtl.reg list) (e : env) :
   in
   (e, List.rev rev)
 
-let transfer (tb : tables) (f : Rtl.func) (n : Rtl.node) (e : env) : env =
+let transfer ~invalidate (tb : tables) (f : Rtl.func) (n : Rtl.node) (e : env) :
+  env =
   match Rtl.get_instr f n with
   | Rtl.Iop (Rtl.Omove, [ src ], d, _) ->
     let e = invalidate tb n e in
@@ -136,8 +155,8 @@ let env_equal (a : env) (b : env) : bool = RegMap.equal Int.equal a b
 (* Forward fixpoint of in-environments, mirroring [Constprop.analyze]
    but bounded: each worklist step costs one unit of fuel, and [None]
    is returned on exhaustion. *)
-let analyze (tb : tables) (f : Rtl.func) ~(fuel : int) :
-  (Rtl.node, env) Hashtbl.t option =
+let analyze ?(invalidate = invalidate) (tb : tables) (f : Rtl.func)
+    ~(fuel : int) : (Rtl.node, env) Hashtbl.t option =
   let preds_tbl = Rtl.predecessors f in
   let preds n = Option.value ~default:[] (Hashtbl.find_opt preds_tbl n) in
   let in_env : (Rtl.node, env) Hashtbl.t = Hashtbl.create 251 in
@@ -171,7 +190,7 @@ let analyze (tb : tables) (f : Rtl.func) ~(fuel : int) :
             List.filter_map
               (fun p ->
                  Hashtbl.find_opt in_env p
-                 |> Option.map (fun e -> transfer tb f p e))
+                 |> Option.map (fun e -> transfer ~invalidate tb f p e))
               (preds n)
           in
           match reached with

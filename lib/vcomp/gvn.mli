@@ -11,3 +11,30 @@ val transform_func : fuel:int -> Rtl.func -> unit
 
 val transform : ?fuel:int -> Rtl.program -> Rtl.program
 (** [fuel] (default 200_000) is a per-function worklist-step budget. *)
+
+(** {2 The analysis, for tests} *)
+
+type tables
+(** Hash-consed terms of one function, with the reverse index of the
+    nodes they mention. *)
+
+val create_tables : unit -> tables
+
+type env = int Map.Make(Int).t
+(** Register -> term id; absent = unknown. *)
+
+val analyze :
+  ?invalidate:(tables -> Rtl.node -> env -> env) ->
+  tables -> Rtl.func -> fuel:int -> (Rtl.node, env) Hashtbl.t option
+(** In-environments at the fixpoint, [None] on fuel exhaustion.
+    [invalidate] defaults to {!invalidate}. *)
+
+val mentions : tables -> Rtl.node -> bool
+(** Does some term created so far mention the node? *)
+
+val invalidate : tables -> Rtl.node -> env -> env
+(** Drops the bindings whose term mentions the node; the environment
+    itself, untouched, when no term does. *)
+
+val invalidate_naive : tables -> Rtl.node -> env -> env
+(** The whole-environment filter: the oracle {!invalidate} must match. *)

@@ -1,14 +1,79 @@
 (* Liveness analysis over RTL: backward dataflow fixpoint computing, for
    every node, the set of pseudo-registers live *after* the instruction
-   at that node. Used by dead-code elimination and by the interference
-   graph construction of the register allocator. *)
+   at that node. Each node's live-after set is a bit row indexed by
+   register number ([Bitrow]), so the worklist's union-and-compare is a
+   word-wise OR. The one analysis serves dead-code elimination, LICM,
+   the interference graph of the register allocator and the
+   allocator's independent [Regalloc.verify]; [analyze_naive] is a
+   separate set-based global fixpoint kept as the test oracle. *)
+
+type t = Bitrow.t array (* indexed by node *)
+
+(* live_before(n) = (live_after(n) \ def(n)) ∪ use(n), into [dst]. *)
+let live_before_into (i : Rtl.instruction) (after : Bitrow.t) (dst : Bitrow.t) :
+  unit =
+  Bitrow.assign ~dst after;
+  Option.iter (Bitrow.remove dst) (Rtl.instr_def i);
+  List.iter (Bitrow.add dst) (Rtl.instr_uses i)
+
+(* Compute live-after rows for all reachable nodes with a worklist
+   iteration seeded in postorder (fast convergence for reducible CFGs). *)
+let analyze (f : Rtl.func) : t =
+  let nregs = f.Rtl.f_next_reg and nnodes = f.Rtl.f_next_node in
+  let rows = Array.init nnodes (fun _ -> Bitrow.create nregs) in
+  let rpo = Rtl.reverse_postorder f in
+  let preds = Array.make nnodes [] in
+  List.iter
+    (fun n ->
+       List.iter (fun s -> preds.(s) <- n :: preds.(s))
+         (Rtl.successors (Rtl.get_instr f n)))
+    rpo;
+  let queued = Array.make nnodes false in
+  let worklist = Queue.create () in
+  let push (n : Rtl.node) : unit =
+    if not queued.(n) then begin
+      queued.(n) <- true;
+      Queue.add n worklist
+    end
+  in
+  (* postorder = reverse of reverse-postorder *)
+  List.iter push (List.rev rpo);
+  let before = Bitrow.create nregs in
+  while not (Queue.is_empty worklist) do
+    let n = Queue.pop worklist in
+    queued.(n) <- false;
+    live_before_into (Rtl.get_instr f n) rows.(n) before;
+    (* propagate into predecessors' live-after *)
+    List.iter
+      (fun p -> if Bitrow.union_into ~dst:rows.(p) before then push p)
+      preds.(n)
+  done;
+  rows
+
+(* Nodes created after the analysis (LICM's preheaders) have no row. *)
+let no_row = Bitrow.create 0
+
+let live_after (lv : t) (n : Rtl.node) : Bitrow.t =
+  if n < Array.length lv then lv.(n) else no_row
+
+let mem_after (lv : t) (n : Rtl.node) (r : Rtl.reg) : bool =
+  Bitrow.mem (live_after lv n) r
+
+(* Is [r] live before node [n], whose instruction is [i]? The caller
+   passes the instruction it sees now, which may have been rewritten
+   since the analysis ran. *)
+let mem_before (lv : t) (i : Rtl.instruction) (n : Rtl.node) (r : Rtl.reg) :
+  bool =
+  List.mem r (Rtl.instr_uses i)
+  || (Rtl.instr_def i <> Some r && mem_after lv n r)
+
+(* ---- test oracle ---------------------------------------------------- *)
 
 module RegSet = Set.Make (Int)
 
-type t = (Rtl.node, RegSet.t) Hashtbl.t
+type naive = (Rtl.node, RegSet.t) Hashtbl.t
 
-(* live_before(n) = (live_after(n) \ def(n)) ∪ use(n) *)
-let live_before (i : Rtl.instruction) (after : RegSet.t) : RegSet.t =
+let live_before_set (i : Rtl.instruction) (after : RegSet.t) : RegSet.t =
   let minus_def =
     match Rtl.instr_def i with
     | Some d -> RegSet.remove d after
@@ -16,51 +81,11 @@ let live_before (i : Rtl.instruction) (after : RegSet.t) : RegSet.t =
   in
   List.fold_left (fun s r -> RegSet.add r s) minus_def (Rtl.instr_uses i)
 
-(* Compute live-after sets for all reachable nodes with a worklist
-   iteration seeded in postorder (fast convergence for reducible CFGs). *)
-let analyze (f : Rtl.func) : t =
-  let preds = Rtl.predecessors f in
-  let live_after : t = Hashtbl.create 251 in
-  let get (n : Rtl.node) : RegSet.t =
-    Option.value ~default:RegSet.empty (Hashtbl.find_opt live_after n)
-  in
-  let workset = Hashtbl.create 251 in
-  let worklist = Queue.create () in
-  let push (n : Rtl.node) : unit =
-    if not (Hashtbl.mem workset n) then begin
-      Hashtbl.replace workset n ();
-      Queue.add n worklist
-    end
-  in
-  (* postorder = reverse of reverse-postorder *)
-  List.iter push (List.rev (Rtl.reverse_postorder f));
-  while not (Queue.is_empty worklist) do
-    let n = Queue.pop worklist in
-    Hashtbl.remove workset n;
-    let i = Rtl.get_instr f n in
-    let after = get n in
-    let before = live_before i after in
-    (* propagate into predecessors' live-after *)
-    List.iter
-      (fun p ->
-         let old = get p in
-         let updated = RegSet.union old before in
-         if not (RegSet.equal old updated) then begin
-           Hashtbl.replace live_after p updated;
-           push p
-         end)
-      (Option.value ~default:[] (Hashtbl.find_opt preds n))
-  done;
-  live_after
-
-let live_after (lv : t) (n : Rtl.node) : RegSet.t =
-  Option.value ~default:RegSet.empty (Hashtbl.find_opt lv n)
-
 (* Naive recomputation used by property tests: iterate the equations
    globally until fixpoint, no worklist. *)
-let analyze_naive (f : Rtl.func) : t =
+let analyze_naive (f : Rtl.func) : naive =
   let nodes = Rtl.reverse_postorder f in
-  let live_after : t = Hashtbl.create 251 in
+  let live_after : naive = Hashtbl.create 251 in
   let get n = Option.value ~default:RegSet.empty (Hashtbl.find_opt live_after n) in
   let changed = ref true in
   while !changed do
@@ -71,7 +96,7 @@ let analyze_naive (f : Rtl.func) : t =
          let after =
            List.fold_left
              (fun acc s ->
-                RegSet.union acc (live_before (Rtl.get_instr f s) (get s)))
+                RegSet.union acc (live_before_set (Rtl.get_instr f s) (get s)))
              RegSet.empty (Rtl.successors i)
          in
          if not (RegSet.equal after (get n)) then begin
@@ -81,3 +106,6 @@ let analyze_naive (f : Rtl.func) : t =
       nodes
   done;
   live_after
+
+let naive_after (lv : naive) (n : Rtl.node) : RegSet.t =
+  Option.value ~default:RegSet.empty (Hashtbl.find_opt lv n)

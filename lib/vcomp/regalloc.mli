@@ -2,26 +2,30 @@
     conservative move coalescing) — the optimization the paper singles
     out as CompCert's main gain over the pattern process. Integer and
     float pseudo-registers are colored separately against the EABI
-    allocatable banks; uncolorable nodes spill to frame slots. *)
-
-module RegSet = Liveness.RegSet
+    allocatable banks; uncolorable nodes spill to frame slots. The
+    interference graph is a bit row per register, so the allocator's
+    sets and counters are arrays over register numbers. *)
 
 type loc =
   | Lireg of Target.Asm.ireg
   | Lfreg of Target.Asm.freg
   | Lslot of int  (** index of an 8-byte spill slot in the frame *)
 
-type allocation = (Rtl.reg, loc) Hashtbl.t
+type allocation = loc option array
+(** Indexed by pseudo-register; [None] for numbers the function never
+    mentions. *)
 
 val loc_equal : loc -> loc -> bool
 
-type graph = {
-  g_adj : (Rtl.reg, RegSet.t) Hashtbl.t;
-  g_uses : (Rtl.reg, int) Hashtbl.t;
-  g_moves : (Rtl.reg * Rtl.reg) list;
-}
+type graph
 
 val build_graph : Rtl.func -> graph
+
+val registers : graph -> Rtl.reg list
+(** The registers the function mentions, ascending. *)
+
+val neighbours : graph -> Rtl.reg -> Rtl.reg list
+(** Interfering registers (always of the same class), ascending. *)
 
 type result = {
   ra_alloc : allocation;

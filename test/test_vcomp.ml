@@ -65,6 +65,115 @@ let gvn_after_cse_prop =
        Vcomp.Validate.check_pass ~pass:"gvn" ~before ~after;
        true)
 
+(* GVN's reverse-indexed [invalidate] against the whole-environment
+   filter it replaces: the in-environment fixpoints must be equal. The
+   shortcut only applies to nodes no term mentions, so the test also
+   counts the invalidations that took the filtering path: a loop body
+   is re-analysed after its loads and acquisitions have named terms,
+   so loop-carrying programs must take it.
+
+   At the fixpoint no binding that mentions a node ever reaches that
+   node again (the meet with the path from the entry drops it), so the
+   two runs would agree even if invalidation did nothing. The test
+   therefore also applies both filters, for every node, to the
+   environments after it — where its terms are bound — and requires
+   that they agree and that some binding was actually dropped. *)
+module IntMap = Map.Make (Int)
+
+let gvn_slow_path = ref 0
+let gvn_dropped = ref 0
+
+let gvn_fixpoints_agree (rtl : Vcomp.Rtl.program) : bool =
+  List.for_all
+    (fun f ->
+       let counting tb n e =
+         if Vcomp.Gvn.mentions tb n then incr gvn_slow_path;
+         Vcomp.Gvn.invalidate tb n e
+       in
+       let run invalidate =
+         let tb = Vcomp.Gvn.create_tables () in
+         (tb, Vcomp.Gvn.analyze ~invalidate tb f ~fuel:200_000)
+       in
+       let env_equal = IntMap.equal Int.equal in
+       match run counting, run Vcomp.Gvn.invalidate_naive with
+       | (tb, Some fast), (_, Some naive) ->
+         Hashtbl.length fast = Hashtbl.length naive
+         && Hashtbl.fold
+              (fun n e ok ->
+                 ok
+                 && (match Hashtbl.find_opt naive n with
+                     | Some e' -> env_equal e e'
+                     | None -> false)
+                 && List.for_all
+                      (fun s ->
+                         match Hashtbl.find_opt fast s with
+                         | None -> true
+                         | Some after ->
+                           let kept = Vcomp.Gvn.invalidate_naive tb n after in
+                           if IntMap.cardinal kept < IntMap.cardinal after then
+                             incr gvn_dropped;
+                           env_equal (Vcomp.Gvn.invalidate tb n after) kept)
+                      (Vcomp.Rtl.successors (Vcomp.Rtl.get_instr f n)))
+              fast true
+       | (_, None), (_, None) -> true
+       | (_, Some _), (_, None) | (_, None), (_, Some _) -> false)
+    rtl.Vcomp.Rtl.p_funcs
+
+let gvn_pipeline_rtl (p : Minic.Ast.program) : Vcomp.Rtl.program =
+  Vcomp.Cse.transform (Vcomp.Constprop.transform (Vcomp.Selection.trans_program p))
+
+let gvn_invalidate_prop =
+  QCheck.Test.make ~count:80 ~name:"gvn: indexed invalidate = naive filter"
+    QCheck.small_int
+    (fun seed ->
+       gvn_fixpoints_agree
+         (gvn_pipeline_rtl (Testlib.Gen.gen_program (seed land 0xFFFF))))
+
+let gvn_loop_carrying_sources =
+  [ {| global double g; global double s;
+       double m() {
+         var int i; var double x; var double y;
+         x = $g;
+         for (i = 0; i < 8) { y = x *. 2.0; x = $g +. y; $s = $s +. y; }
+         return x *. 2.0;
+       } main m; |};
+    {| volatile in int sensor; global int t;
+       int m() {
+         var int i; var int acc; var int d;
+         acc = 0;
+         for (i = 0; i < 4) {
+           d = volatile(sensor);
+           acc = acc + d * 3;
+           $t = d * 3;
+         }
+         return acc;
+       } main m; |};
+    {| array double a = { 1.0, 2.0, 3.0, 4.0 }; global double s;
+       double m() {
+         var int i; var double x;
+         x = 0.0;
+         for (i = 0; i < 4) { x = x +. $a[i] *. $a[i]; $s = x +. 1.0; }
+         return x +. 1.0;
+       } main m; |} ]
+
+let gvn_invalidate_test =
+  let name, speed, run = QCheck_alcotest.to_alcotest gvn_invalidate_prop in
+  Alcotest.test_case name speed (fun () ->
+      gvn_slow_path := 0;
+      gvn_dropped := 0;
+      List.iter
+        (fun src ->
+           let p = Minic.Parser.parse_program src in
+           Minic.Typecheck.check_program_exn p;
+           checkb "loop-carrying program: fixpoints agree" true
+             (gvn_fixpoints_agree (gvn_pipeline_rtl p)))
+        gvn_loop_carrying_sources;
+      checkb "the filtering path fired on the loop-carrying programs" true
+        (!gvn_slow_path > 0);
+      checkb "the filter dropped bindings the shortcut had to keep" true
+        (!gvn_dropped > 0);
+      run ())
+
 let deadcode_prop =
   QCheck.Test.make ~count:80 ~name:"deadcode after cse: validated"
     QCheck.small_int
@@ -133,9 +242,12 @@ let liveness_prop =
             let slow = Vcomp.Liveness.analyze_naive f in
             List.for_all
               (fun n ->
-                 Vcomp.Liveness.RegSet.equal
-                   (Vcomp.Liveness.live_after fast n)
-                   (Vcomp.Liveness.live_after slow n))
+                 let row = Vcomp.Liveness.live_after fast n in
+                 let set = Vcomp.Liveness.naive_after slow n in
+                 List.for_all
+                   (fun r -> Vcomp.Liveness.RegSet.mem r set)
+                   (Vcomp.Bitrow.elements row)
+                 && Vcomp.Liveness.RegSet.for_all (Vcomp.Bitrow.mem row) set)
               (Vcomp.Rtl.reverse_postorder f))
          rtl.Vcomp.Rtl.p_funcs)
 
@@ -156,7 +268,11 @@ let regalloc_valid_prop =
          rtl.Vcomp.Rtl.p_funcs)
 
 (* mutation testing of the validator: merging an interfering pair must
-   be rejected *)
+   be rejected. A seed whose function has no interfering pair to corrupt
+   proves nothing, so the test also requires that some seeds did
+   corrupt a real pair. *)
+let regalloc_mutation_corrupted = ref 0
+
 let regalloc_mutation_prop =
   QCheck.Test.make ~count:60 ~name:"regalloc: corrupted allocation rejected"
     QCheck.small_int
@@ -165,30 +281,39 @@ let regalloc_mutation_prop =
        let rtl = Vcomp.Selection.trans_program p in
        let f = List.hd rtl.Vcomp.Rtl.p_funcs in
        let res = Vcomp.Regalloc.allocate f in
+       let g = res.Vcomp.Regalloc.ra_graph in
        (* find an interfering pair with different locations *)
-       let victim = ref None in
-       Hashtbl.iter
-         (fun a neighbors ->
-            if !victim = None then
-              Vcomp.Regalloc.RegSet.iter
+       let victim =
+         List.find_map
+           (fun a ->
+              List.find_map
                 (fun b ->
-                   if !victim = None
-                      && Vcomp.Rtl.reg_class f a = Vcomp.Rtl.reg_class f b
-                      && not
-                           (Vcomp.Regalloc.loc_equal
-                              (Vcomp.Regalloc.location res a)
-                              (Vcomp.Regalloc.location res b)) then
-                     victim := Some (a, b))
-                neighbors)
-         res.Vcomp.Regalloc.ra_graph.Vcomp.Regalloc.g_adj;
-       match !victim with
+                   if Vcomp.Rtl.reg_class f a = Vcomp.Rtl.reg_class f b
+                   && not
+                        (Vcomp.Regalloc.loc_equal
+                           (Vcomp.Regalloc.location res a)
+                           (Vcomp.Regalloc.location res b))
+                   then Some (a, b)
+                   else None)
+                (Vcomp.Regalloc.neighbours g a))
+           (Vcomp.Regalloc.registers g)
+       in
+       match victim with
        | None -> true (* nothing to corrupt in a tiny function *)
        | Some (a, b) ->
-         Hashtbl.replace res.Vcomp.Regalloc.ra_alloc a
-           (Vcomp.Regalloc.location res b);
+         incr regalloc_mutation_corrupted;
+         res.Vcomp.Regalloc.ra_alloc.(a) <- Some (Vcomp.Regalloc.location res b);
          (match Vcomp.Regalloc.verify f res with
           | Ok () -> false (* must be rejected *)
           | Error _ -> true))
+
+let regalloc_mutation_test =
+  let name, speed, run = QCheck_alcotest.to_alcotest regalloc_mutation_prop in
+  Alcotest.test_case name speed (fun () ->
+      regalloc_mutation_corrupted := 0;
+      run ();
+      checkb "some seed corrupted a real interfering pair" true
+        (!regalloc_mutation_corrupted > 0))
 
 (* ---- full chain ---- *)
 
@@ -386,12 +511,13 @@ let suite =
     QCheck_alcotest.to_alcotest gvn_prop;
     QCheck_alcotest.to_alcotest licm_prop;
     QCheck_alcotest.to_alcotest gvn_after_cse_prop;
+    gvn_invalidate_test;
     QCheck_alcotest.to_alcotest deadcode_prop;
     ("constprop folds constants", `Quick, test_constprop_folds);
     ("cse removes duplicate loads", `Quick, test_cse_removes_duplicate_load);
     QCheck_alcotest.to_alcotest liveness_prop;
     QCheck_alcotest.to_alcotest regalloc_valid_prop;
-    QCheck_alcotest.to_alcotest regalloc_mutation_prop;
+    regalloc_mutation_test;
     QCheck_alcotest.to_alcotest full_chain_prop;
     QCheck_alcotest.to_alcotest full_chain_validated_prop;
     ("NaN comparisons through the chain", `Quick, test_nan_comparisons_compiled);
