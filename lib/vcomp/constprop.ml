@@ -7,9 +7,12 @@
    IEEE-754 float results, same total division). Conditions on constant
    arguments turn into unconditional jumps; annotation arguments that
    became constants are rewritten to [RA_cint]/[RA_cfloat], which is how
-   constants reach the emitted annotation comments of the paper. *)
+   constants reach the emitted annotation comments of the paper.
 
-module RegMap = Map.Make (Int)
+   The analysis is the shared [Dataflow.forward] solver (Kildall's
+   algorithm, as in CompCert). Environments are [Ptmap]s holding only
+   the registers known constant, Top being absence, so the join is a
+   sharing-aware intersection and the comparison is exact. *)
 
 (* Flat lattice: Unknown (bottom, unreached) < constants < Top. *)
 type approx =
@@ -25,26 +28,15 @@ let approx_equal (a : approx) (b : approx) : bool =
     Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
   | (Vtop | Vcint _ | Vcfloat _), _ -> false
 
-(* Abstract environment: registers absent from the map are Top.
-   (Registers never written before use are parameters or garbage; Top is
-   the sound default.) *)
-type aenv = approx RegMap.t
+(* Abstract environment: the registers known to hold a constant. A
+   register absent from the map is Top (registers never written before
+   use are parameters or garbage; Top is the sound default), and Top is
+   never stored, so two environments are equal exactly when their maps
+   are. *)
+type aenv = approx Ptmap.t
 
 let get (env : aenv) (r : Rtl.reg) : approx =
-  Option.value ~default:Vtop (RegMap.find_opt r env)
-
-let join_approx (a : approx) (b : approx) : approx =
-  if approx_equal a b then a else Vtop
-
-let join_env (a : aenv) (b : aenv) : aenv =
-  RegMap.merge
-    (fun _ x y ->
-       match x, y with
-       | Some x, Some y -> Some (join_approx x y)
-       | Some _, None | None, Some _ | None, None -> Some Vtop)
-    a b
-
-let env_equal (a : aenv) (b : aenv) : bool = RegMap.equal approx_equal a b
+  Option.value ~default:Vtop (Ptmap.find_opt r env)
 
 let value_of_approx (a : approx) : Minic.Value.t option =
   match a with
@@ -94,60 +86,25 @@ let eval_cond_abstract (c : Rtl.condition) (args : approx list) : bool option =
 let transfer (i : Rtl.instruction) (env : aenv) : aenv =
   match i with
   | Rtl.Iop (op, args, d, _) ->
-    RegMap.add d (eval_op_abstract op (List.map (fun r -> get env r) args)) env
-  | Rtl.Iload (_, _, _, d, _) | Rtl.Iacq (_, d, _) -> RegMap.add d Vtop env
+    (match eval_op_abstract op (List.map (fun r -> get env r) args) with
+     | Vtop -> Ptmap.remove d env
+     | v -> Ptmap.add d v env)
+  | Rtl.Iload (_, _, _, d, _) | Rtl.Iacq (_, d, _) -> Ptmap.remove d env
   | Rtl.Inop _ | Rtl.Istore _ | Rtl.Icond _ | Rtl.Iout _ | Rtl.Iannot _
   | Rtl.Ireturn _ -> env
 
-(* Forward fixpoint: in_env(n) for every reachable node. *)
-let analyze (f : Rtl.func) : (Rtl.node, aenv) Hashtbl.t =
-  let preds = Rtl.predecessors f in
-  let in_env : (Rtl.node, aenv) Hashtbl.t = Hashtbl.create 251 in
-  let worklist = Queue.create () in
-  let workset = Hashtbl.create 251 in
-  let push n =
-    if not (Hashtbl.mem workset n) then begin
-      Hashtbl.replace workset n ();
-      Queue.add n worklist
-    end
-  in
-  List.iter push (Rtl.reverse_postorder f);
-  Hashtbl.replace in_env f.Rtl.f_entry RegMap.empty;
-  while not (Queue.is_empty worklist) do
-    let n = Queue.pop worklist in
-    Hashtbl.remove workset n;
-    let env_in =
-      if n = f.Rtl.f_entry then
-        Option.value ~default:RegMap.empty (Hashtbl.find_opt in_env n)
-      else
-        (* join over predecessors that have been reached *)
-        let reached =
-          List.filter_map
-            (fun p -> Hashtbl.find_opt in_env p |> Option.map (fun e -> (p, e)))
-            (Option.value ~default:[] (Hashtbl.find_opt preds n))
-        in
-        match reached with
-        | [] -> RegMap.empty (* unreached; keep bottom-ish empty env *)
-        | (p0, e0) :: rest ->
-          List.fold_left
-            (fun acc (p, e) ->
-               ignore p;
-               join_env acc (transfer (Rtl.get_instr f p) e))
-            (transfer (Rtl.get_instr f p0) e0)
-            rest
-    in
-    let old = Hashtbl.find_opt in_env n in
-    let changed =
-      match old with
-      | None -> true
-      | Some o -> not (env_equal o env_in)
-    in
-    if changed || old = None then begin
-      Hashtbl.replace in_env n env_in;
-      List.iter push (Rtl.successors (Rtl.get_instr f n))
-    end
-  done;
-  in_env
+(* Bindings that disagree join to Top: the join drops them. *)
+let problem (f : Rtl.func) : aenv Dataflow.problem =
+  { Dataflow.entry = Ptmap.empty;
+    transfer = (fun n env -> transfer (Rtl.get_instr f n) env);
+    join = Ptmap.inter approx_equal;
+    equal = Ptmap.equal approx_equal }
+
+(* In-environments at the fixpoint; no fuel, the lattice is finite. *)
+let analyze (f : Rtl.func) : aenv Dataflow.solution =
+  match Dataflow.forward f (problem f) with
+  | Some sol -> sol
+  | None -> assert false
 
 (* Rewrite the function in place using the analysis results. *)
 let transform_func (f : Rtl.func) : unit =
@@ -155,9 +112,7 @@ let transform_func (f : Rtl.func) : unit =
   let nodes = Rtl.reverse_postorder f in
   List.iter
     (fun n ->
-       let env =
-         Option.value ~default:RegMap.empty (Hashtbl.find_opt in_env n)
-       in
+       let env = Option.value ~default:Ptmap.empty in_env.(n) in
        let approx_of r = get env r in
        match Rtl.get_instr f n with
        | Rtl.Iop (op, args, d, s) ->

@@ -9,3 +9,12 @@ val transform_func : Rtl.func -> unit
 (** In place. *)
 
 val transform : Rtl.program -> Rtl.program
+
+(** {2 The analysis, for tests} *)
+
+type aenv
+(** The registers known to hold a constant; absent registers are Top. *)
+
+val problem : Rtl.func -> aenv Dataflow.problem
+(** Empty entry environment, abstract evaluation as the transfer, and
+    the join that drops the bindings on which two sides disagree. *)

@@ -28,11 +28,18 @@
    returns the environment untouched instead of filtering all of it;
    [invalidate_naive], the plain filter, is the test oracle.
 
-   The fixpoint runs under a fuel budget: if it has not converged
-   within the budget, the pass skips the function (identity), never
-   rewrites from an unconverged analysis. *)
+   The fixpoint is the shared [Dataflow.forward] solver over [Ptmap]
+   environments: the meet is a sharing-aware intersection and the
+   comparison stops at shared subtrees, so both cost what differs
+   between two environments, not their size. The transfer is not
+   monotone (an unbound register is named after the node that reads
+   it), so the order of the steps can select a different, equally
+   sound fixpoint; the solver's order is fixed, which keeps the pass
+   deterministic. The fixpoint runs under a fuel budget of solver
+   steps: if it has not converged within the budget, the pass skips
+   the function (identity), never rewrites from an unconverged
+   analysis. *)
 
-module RegMap = Map.Make (Int)
 module IntSet = Set.Make (Int)
 
 type opkey =
@@ -87,14 +94,14 @@ let opkey (op : Rtl.operation) : opkey =
   | _ -> Kop op
 
 (* Abstract environment: register -> term id; absent = unknown. *)
-type env = int RegMap.t
+type env = int Ptmap.t
 
 let mentions (tb : tables) (n : Rtl.node) : bool = Hashtbl.mem tb.mentioned n
 
 (* Drop every binding whose term mentions node [n], by a filter over
    the whole environment. *)
 let invalidate_naive (tb : tables) (n : Rtl.node) (e : env) : env =
-  RegMap.filter (fun _ t -> not (IntSet.mem n (Hashtbl.find tb.deps t))) e
+  Ptmap.filter (fun _ t -> not (IntSet.mem n (Hashtbl.find tb.deps t))) e
 
 (* The same result, skipping the filter when no term mentions [n] —
    the case of every pure operation whose arguments are all bound. *)
@@ -110,11 +117,11 @@ let resolve_args (tb : tables) (n : Rtl.node) (args : Rtl.reg list) (e : env) :
   let e, rev =
     List.fold_left
       (fun (e, acc) r ->
-         match RegMap.find_opt r e with
+         match Ptmap.find_opt r e with
          | Some t -> (e, t :: acc)
          | None ->
            let t = term tb (Targ (n, List.length acc)) in
-           (RegMap.add r t e, t :: acc))
+           (Ptmap.add r t e, t :: acc))
       (e, []) args
   in
   (e, List.rev rev)
@@ -124,90 +131,41 @@ let transfer ~invalidate (tb : tables) (f : Rtl.func) (n : Rtl.node) (e : env) :
   match Rtl.get_instr f n with
   | Rtl.Iop (Rtl.Omove, [ src ], d, _) ->
     let e = invalidate tb n e in
-    (match RegMap.find_opt src e with
-     | Some t -> RegMap.add d t e
+    (match Ptmap.find_opt src e with
+     | Some t -> Ptmap.add d t e
      | None ->
        (* source and destination now hold the same (unknown) value *)
        let t = term tb (Targ (n, 0)) in
-       RegMap.add src t (RegMap.add d t e))
+       Ptmap.add src t (Ptmap.add d t e))
   | Rtl.Iop (op, args, d, _) ->
     let e = invalidate tb n e in
     let e, ts = resolve_args tb n args e in
-    RegMap.add d (term tb (Top (opkey op, ts))) e
+    Ptmap.add d (term tb (Top (opkey op, ts))) e
   | Rtl.Iload (_, _, _, d, _) | Rtl.Iacq (_, d, _) ->
     let e = invalidate tb n e in
-    RegMap.add d (term tb (Topaque n)) e
+    Ptmap.add d (term tb (Topaque n)) e
   | Rtl.Inop _ | Rtl.Istore _ | Rtl.Icond _ | Rtl.Iout _ | Rtl.Iannot _
   | Rtl.Ireturn _ -> e
 
 (* Meet at merge points: keep only bindings on which all predecessors
-   agree. Terms are hash-consed, so agreement is id equality. *)
-let meet (a : env) (b : env) : env =
-  RegMap.merge
-    (fun _ x y ->
-       match x, y with
-       | Some x, Some y when x = y -> Some x
-       | _, _ -> None)
-    a b
+   agree. Terms are hash-consed, so agreement is id equality, and the
+   result shares every subtree the two sides share. *)
+let meet : env -> env -> env = Ptmap.inter Int.equal
 
-let env_equal (a : env) (b : env) : bool = RegMap.equal Int.equal a b
+(* The parameters hold their entry values. *)
+let problem ?(invalidate = invalidate) (tb : tables) (f : Rtl.func) :
+  env Dataflow.problem =
+  { Dataflow.entry =
+      List.fold_left
+        (fun e (r, _) -> Ptmap.add r (term tb (Tinit r)) e)
+        Ptmap.empty f.Rtl.f_params;
+    transfer = transfer ~invalidate tb f;
+    join = meet;
+    equal = Ptmap.equal Int.equal }
 
-(* Forward fixpoint of in-environments, mirroring [Constprop.analyze]
-   but bounded: each worklist step costs one unit of fuel, and [None]
-   is returned on exhaustion. *)
-let analyze ?(invalidate = invalidate) (tb : tables) (f : Rtl.func)
-    ~(fuel : int) : (Rtl.node, env) Hashtbl.t option =
-  let preds_tbl = Rtl.predecessors f in
-  let preds n = Option.value ~default:[] (Hashtbl.find_opt preds_tbl n) in
-  let in_env : (Rtl.node, env) Hashtbl.t = Hashtbl.create 251 in
-  let worklist = Queue.create () in
-  let workset = Hashtbl.create 251 in
-  let push n =
-    if not (Hashtbl.mem workset n) then begin
-      Hashtbl.replace workset n ();
-      Queue.add n worklist
-    end
-  in
-  List.iter push (Rtl.reverse_postorder f);
-  let entry_env =
-    List.fold_left
-      (fun e (r, _) -> RegMap.add r (term tb (Tinit r)) e)
-      RegMap.empty f.Rtl.f_params
-  in
-  Hashtbl.replace in_env f.Rtl.f_entry entry_env;
-  let fuel = ref fuel in
-  let exhausted = ref false in
-  while (not (Queue.is_empty worklist)) && not !exhausted do
-    if !fuel <= 0 then exhausted := true
-    else begin
-      decr fuel;
-      let n = Queue.pop worklist in
-      Hashtbl.remove workset n;
-      let env_in =
-        if n = f.Rtl.f_entry then entry_env
-        else
-          let reached =
-            List.filter_map
-              (fun p ->
-                 Hashtbl.find_opt in_env p
-                 |> Option.map (fun e -> transfer ~invalidate tb f p e))
-              (preds n)
-          in
-          match reached with
-          | [] -> RegMap.empty (* unreached so far *)
-          | e0 :: rest -> List.fold_left meet e0 rest
-      in
-      let old = Hashtbl.find_opt in_env n in
-      let changed =
-        match old with None -> true | Some o -> not (env_equal o env_in)
-      in
-      if changed then begin
-        Hashtbl.replace in_env n env_in;
-        List.iter push (Rtl.successors (Rtl.get_instr f n))
-      end
-    end
-  done;
-  if !exhausted then None else Some in_env
+let analyze ?invalidate (tb : tables) (f : Rtl.func) ~(fuel : int) :
+  env Dataflow.solution option =
+  Dataflow.forward ~fuel f (problem ?invalidate tb f)
 
 (* Rewriting. At a pure non-move operation whose arguments all have
    terms, look the result term up: if the destination already holds it
@@ -216,7 +174,7 @@ let analyze ?(invalidate = invalidate) (tb : tables) (f : Rtl.func)
    deterministic representative). Integer constants are left alone —
    rematerializing them is as cheap as a move — but float constants are
    numbered: every duplicate avoided is a constant-pool load. *)
-let rewrite_func (tb : tables) (in_env : (Rtl.node, env) Hashtbl.t)
+let rewrite_func (tb : tables) (in_env : env Dataflow.solution)
     (f : Rtl.func) : unit =
   let class_of r = Hashtbl.find_opt f.Rtl.f_classes r in
   List.iter
@@ -224,13 +182,11 @@ let rewrite_func (tb : tables) (in_env : (Rtl.node, env) Hashtbl.t)
        match Rtl.get_instr f n with
        | Rtl.Iop (Rtl.Omove, _, _, _) | Rtl.Iop (Rtl.Ointconst _, _, _, _) -> ()
        | Rtl.Iop (op, args, d, s) ->
-         let e =
-           Option.value ~default:RegMap.empty (Hashtbl.find_opt in_env n)
-         in
+         let e = Option.value ~default:Ptmap.empty in_env.(n) in
          let ts =
            List.fold_right
              (fun r acc ->
-                match acc, RegMap.find_opt r e with
+                match acc, Ptmap.find_opt r e with
                 | Some ts, Some t -> Some (t :: ts)
                 | _, _ -> None)
              args (Some [])
@@ -241,12 +197,12 @@ let rewrite_func (tb : tables) (in_env : (Rtl.node, env) Hashtbl.t)
             (match Hashtbl.find_opt tb.ids (Top (opkey op, ts)) with
              | None -> ()
              | Some t ->
-               if RegMap.find_opt d e = Some t then
+               if Ptmap.find_opt d e = Some t then
                  (* destination already holds the value *)
                  Rtl.set_instr f n (Rtl.Inop s)
                else begin
                  let candidate =
-                   RegMap.fold
+                   Ptmap.fold
                      (fun r t' best ->
                         if t' = t && r <> d && class_of r = class_of d then
                           match best with

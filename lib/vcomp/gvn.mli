@@ -10,7 +10,11 @@ val transform_func : fuel:int -> Rtl.func -> unit
 (** In place. *)
 
 val transform : ?fuel:int -> Rtl.program -> Rtl.program
-(** [fuel] (default 200_000) is a per-function worklist-step budget. *)
+(** [fuel] (default 200_000) is a per-function budget of solver steps
+    ({!Dataflow.forward}). The solver steps the lowest pending node in
+    reverse postorder, which takes fewer steps than the FIFO worklist
+    it replaced, so a starved budget (the [#N] of a [--passes] spec)
+    can now converge, and rewrite, where it used to skip the function. *)
 
 (** {2 The analysis, for tests} *)
 
@@ -20,14 +24,20 @@ type tables
 
 val create_tables : unit -> tables
 
-type env = int Map.Make(Int).t
+type env = int Ptmap.t
 (** Register -> term id; absent = unknown. *)
+
+val problem :
+  ?invalidate:(tables -> Rtl.node -> env -> env) ->
+  tables -> Rtl.func -> env Dataflow.problem
+(** The parameters' entry terms, the transfer function and the meet
+    (bindings on which both sides agree). [invalidate] defaults to
+    {!invalidate}. *)
 
 val analyze :
   ?invalidate:(tables -> Rtl.node -> env -> env) ->
-  tables -> Rtl.func -> fuel:int -> (Rtl.node, env) Hashtbl.t option
-(** In-environments at the fixpoint, [None] on fuel exhaustion.
-    [invalidate] defaults to {!invalidate}. *)
+  tables -> Rtl.func -> fuel:int -> env Dataflow.solution option
+(** In-environments at the fixpoint, [None] on fuel exhaustion. *)
 
 val mentions : tables -> Rtl.node -> bool
 (** Does some term created so far mention the node? *)

@@ -6,7 +6,12 @@
 
    Analysis-heavy passes (GVN, LICM, the dead-code fixpoint) take a
    fuel budget in the style of the analyzer's [Wcet.Fuel]: exhaustion
-   means the pass skips (identity), never that it miscompiles.
+   means the pass skips (identity), never that it miscompiles. GVN
+   spends one unit per step of the shared [Dataflow] solver, which
+   steps the lowest pending node in reverse postorder and so needs
+   fewer steps than the FIFO worklist it replaced: a starved budget
+   (a [--passes ...#N] spec) can now converge, and rewrite, where it
+   used to skip the function.
 
    The canonical [spec] string of an option record names the enabled
    passes and the fuel budget; it is what the CLI `--passes` flag

@@ -78,8 +78,6 @@ let gvn_after_cse_prop =
    therefore also applies both filters, for every node, to the
    environments after it — where its terms are bound — and requires
    that they agree and that some binding was actually dropped. *)
-module IntMap = Map.Make (Int)
-
 let gvn_slow_path = ref 0
 let gvn_dropped = ref 0
 
@@ -94,27 +92,29 @@ let gvn_fixpoints_agree (rtl : Vcomp.Rtl.program) : bool =
          let tb = Vcomp.Gvn.create_tables () in
          (tb, Vcomp.Gvn.analyze ~invalidate tb f ~fuel:200_000)
        in
-       let env_equal = IntMap.equal Int.equal in
+       let env_equal = Vcomp.Ptmap.equal Int.equal in
        match run counting, run Vcomp.Gvn.invalidate_naive with
        | (tb, Some fast), (_, Some naive) ->
-         Hashtbl.length fast = Hashtbl.length naive
-         && Hashtbl.fold
-              (fun n e ok ->
-                 ok
-                 && (match Hashtbl.find_opt naive n with
-                     | Some e' -> env_equal e e'
-                     | None -> false)
-                 && List.for_all
-                      (fun s ->
-                         match Hashtbl.find_opt fast s with
-                         | None -> true
-                         | Some after ->
-                           let kept = Vcomp.Gvn.invalidate_naive tb n after in
-                           if IntMap.cardinal kept < IntMap.cardinal after then
-                             incr gvn_dropped;
-                           env_equal (Vcomp.Gvn.invalidate tb n after) kept)
-                      (Vcomp.Rtl.successors (Vcomp.Rtl.get_instr f n)))
-              fast true
+         let agree n e e' =
+           match e, e' with
+           | None, None -> true
+           | Some e, Some e' ->
+             env_equal e e'
+             && List.for_all
+                  (fun s ->
+                     match fast.(s) with
+                     | None -> true
+                     | Some after ->
+                       let kept = Vcomp.Gvn.invalidate_naive tb n after in
+                       if Vcomp.Ptmap.cardinal kept
+                          < Vcomp.Ptmap.cardinal after
+                       then incr gvn_dropped;
+                       env_equal (Vcomp.Gvn.invalidate tb n after) kept)
+                  (Vcomp.Rtl.successors (Vcomp.Rtl.get_instr f n))
+           | Some _, None | None, Some _ -> false
+         in
+         Array.length fast = Array.length naive
+         && Array.for_all Fun.id (Array.mapi (fun n e -> agree n e naive.(n)) fast)
        | (_, None), (_, None) -> true
        | (_, Some _), (_, None) | (_, None), (_, Some _) -> false)
     rtl.Vcomp.Rtl.p_funcs
@@ -173,6 +173,204 @@ let gvn_invalidate_test =
       checkb "the filter dropped bindings the shortcut had to keep" true
         (!gvn_dropped > 0);
       run ())
+
+(* ---- the dataflow solver: worklist vs naive sweeps ---- *)
+
+(* RPO position of every reachable node, and the back edges: those
+   whose target does not come after their source. *)
+let rpo_positions (f : Vcomp.Rtl.func) : (Vcomp.Rtl.node, int) Hashtbl.t =
+  let pos = Hashtbl.create 64 in
+  List.iteri (fun i n -> Hashtbl.replace pos n i) (Vcomp.Rtl.reverse_postorder f);
+  pos
+
+let has_back_edge (f : Vcomp.Rtl.func) : bool =
+  let pos = rpo_positions f in
+  List.exists
+    (fun n ->
+       List.exists
+         (fun s -> Hashtbl.find pos s <= Hashtbl.find pos n)
+         (Vcomp.Rtl.successors (Vcomp.Rtl.get_instr f n)))
+    (Vcomp.Rtl.reverse_postorder f)
+
+let dataflow_loops = ref 0
+let dataflow_drops = ref 0
+
+(* [sol] solves [pb]'s equations: every reachable node holds the entry
+   value or the join of its predecessors' out-values. *)
+let is_fixpoint (f : Vcomp.Rtl.func) (pb : 'a Vcomp.Dataflow.problem)
+    (sol : 'a Vcomp.Dataflow.solution) : bool =
+  let preds = Vcomp.Rtl.predecessors f in
+  let out p = pb.Vcomp.Dataflow.transfer p (Option.get sol.(p)) in
+  List.for_all
+    (fun n ->
+       match sol.(n), List.map out (Hashtbl.find preds n) with
+       | None, _ -> false
+       | Some v, _ when n = f.Vcomp.Rtl.f_entry -> pb.equal v pb.entry
+       | Some v, o :: os -> pb.equal v (List.fold_left pb.join o os)
+       | Some _, [] -> false)
+    (Vcomp.Rtl.reverse_postorder f)
+
+(* Both solvers reach a fixpoint, the same one when [pb]'s transfer is
+   monotone (constprop). GVN's is not: a register with no binding is
+   named after the node that reads it, so where a binding gets dropped
+   first decides which terms exist, and the order of the steps can
+   select a different fixpoint — each one an inductive invariant, so
+   sound, but not always the same one.
+
+   The worklist solver must also step in RPO order: a transfer at a
+   lower position than the previous one is only ever the previous
+   node's back-edge successor (a FIFO worklist breaks this as soon as
+   a loop holds a branch). *)
+let solvers_agree ~exact (f : Vcomp.Rtl.func) (pb : 'a Vcomp.Dataflow.problem) :
+  bool =
+  let pos = rpo_positions f in
+  let last = ref None and in_order = ref true in
+  let transfer n v =
+    (match !last with
+     | Some l when Hashtbl.find pos n < Hashtbl.find pos l ->
+       incr dataflow_drops;
+       if not (List.mem n (Vcomp.Rtl.successors (Vcomp.Rtl.get_instr f l)))
+       then in_order := false
+     | Some _ | None -> ());
+    last := Some n;
+    pb.Vcomp.Dataflow.transfer n v
+  in
+  if has_back_edge f then incr dataflow_loops;
+  let same x y =
+    match x, y with
+    | None, None -> true
+    | Some x, Some y -> pb.Vcomp.Dataflow.equal x y
+    | Some _, None | None, Some _ -> false
+  in
+  match Vcomp.Dataflow.forward f { pb with Vcomp.Dataflow.transfer } with
+  | None -> false
+  | Some fast ->
+    let naive = Vcomp.Dataflow.forward_naive f pb in
+    !in_order && is_fixpoint f pb fast && is_fixpoint f pb naive
+    && ((not exact) || Array.for_all2 same fast naive)
+
+let solvers_agree_on ~gvn_exact (p : Minic.Ast.program) : bool =
+  List.for_all
+    (fun f -> solvers_agree ~exact:true f (Vcomp.Constprop.problem f))
+    (Vcomp.Selection.trans_program p).Vcomp.Rtl.p_funcs
+  && List.for_all
+    (fun f ->
+       solvers_agree ~exact:gvn_exact f
+         (Vcomp.Gvn.problem (Vcomp.Gvn.create_tables ()) f))
+    (gvn_pipeline_rtl p).Vcomp.Rtl.p_funcs
+
+let dataflow_prop =
+  QCheck.Test.make ~count:80
+    ~name:"dataflow: worklist and naive sweeps reach the fixpoint"
+    QCheck.small_int
+    (fun seed ->
+       solvers_agree_on ~gvn_exact:false
+         (Testlib.Gen.gen_program (seed land 0xFFFF)))
+
+let dataflow_test =
+  let name, speed, run = QCheck_alcotest.to_alcotest dataflow_prop in
+  Alcotest.test_case name speed (fun () ->
+      dataflow_loops := 0;
+      dataflow_drops := 0;
+      run ();
+      List.iter
+        (fun src ->
+           let p = Minic.Parser.parse_program src in
+           Minic.Typecheck.check_program_exn p;
+           checkb "loop-carrying program: the same fixpoints" true
+             (solvers_agree_on ~gvn_exact:true p))
+        gvn_loop_carrying_sources;
+      checkb "loops occurred" true (!dataflow_loops > 0);
+      checkb "some back edge re-stepped a loop" true (!dataflow_drops > 0))
+
+(* On an acyclic function the worklist steps each node exactly once:
+   the budget of one step per node converges, one step less does not. *)
+let test_dataflow_acyclic_once () =
+  let acyclic = ref 0 in
+  for seed = 0 to 299 do
+    List.iter
+      (fun f ->
+         if not (has_back_edge f) then begin
+           incr acyclic;
+           let n = List.length (Vcomp.Rtl.reverse_postorder f) in
+           let steps pb fuel = Vcomp.Dataflow.forward ~fuel f pb <> None in
+           let cp = Vcomp.Constprop.problem f in
+           let gvn = Vcomp.Gvn.problem (Vcomp.Gvn.create_tables ()) f in
+           checkb "constprop: n steps suffice" true (steps cp n);
+           checkb "constprop: n - 1 steps do not" false (steps cp (n - 1));
+           checkb "gvn: n steps suffice" true (steps gvn n);
+           checkb "gvn: n - 1 steps do not" false (steps gvn (n - 1))
+         end)
+      (Vcomp.Selection.trans_program (Testlib.Gen.gen_program seed))
+        .Vcomp.Rtl.p_funcs
+  done;
+  checkb "acyclic functions occurred" true (!acyclic > 0)
+
+(* ---- Ptmap against Map.Make (Int) ---- *)
+
+module IntMap = Map.Make (Int)
+
+type map_op =
+  | Add of int * int
+  | Remove of int
+  | Filter of int (* keep keys not divisible by it *)
+
+let map_op_gen : map_op QCheck.Gen.t =
+  let key = QCheck.Gen.int_bound 300 and value = QCheck.Gen.int_bound 3 in
+  QCheck.Gen.frequency
+    [ (6, QCheck.Gen.map2 (fun k v -> Add (k, v)) key value);
+      (2, QCheck.Gen.map (fun k -> Remove k) key);
+      (1, QCheck.Gen.map (fun d -> Filter (d + 2)) (QCheck.Gen.int_bound 5)) ]
+
+let apply_ops ops =
+  List.fold_left
+    (fun (pt, m) op ->
+       match op with
+       | Add (k, v) -> (Vcomp.Ptmap.add k v pt, IntMap.add k v m)
+       | Remove k -> (Vcomp.Ptmap.remove k pt, IntMap.remove k m)
+       | Filter d ->
+         let keep k _ = k mod d <> 0 in
+         (Vcomp.Ptmap.filter keep pt, IntMap.filter keep m))
+    (Vcomp.Ptmap.empty, IntMap.empty) ops
+
+(* In ascending key order, as [fold] visits them. *)
+let ptmap_bindings pt =
+  List.rev (Vcomp.Ptmap.fold (fun k v acc -> (k, v) :: acc) pt [])
+
+let ptmap_prop =
+  QCheck.Test.make ~count:300
+    ~name:"ptmap: add/remove/find/filter/inter/equal/fold = Map.Make (Int)"
+    QCheck.(pair (make QCheck.Gen.(list map_op_gen)) (make QCheck.Gen.(list map_op_gen)))
+    (fun (ops_a, ops_b) ->
+       let pa, ma = apply_ops ops_a and pb, mb = apply_ops ops_b in
+       (* b also shares a's tree: a's bindings, then b's operations *)
+       let pc, mc = apply_ops (ops_a @ ops_b) in
+       let model_agrees pt m =
+         ptmap_bindings pt = IntMap.bindings m
+         && Vcomp.Ptmap.cardinal pt = IntMap.cardinal m
+         && List.for_all
+              (fun k -> Vcomp.Ptmap.find_opt k pt = IntMap.find_opt k m)
+              (List.init 302 Fun.id)
+       in
+       let model_inter m m' =
+         IntMap.merge
+           (fun _ x y ->
+              match x, y with Some x, Some y when x = y -> Some x | _ -> None)
+           m m'
+       in
+       List.for_all
+         (fun ((pt, m), (pt', m')) ->
+            model_agrees pt m
+            && model_agrees (Vcomp.Ptmap.inter Int.equal pt pt') (model_inter m m')
+            && Vcomp.Ptmap.equal Int.equal pt pt' = IntMap.equal Int.equal m m')
+         [ ((pa, ma), (pb, mb)); ((pa, ma), (pc, mc)); ((pc, mc), (pa, ma));
+           ((pb, mb), (pc, mc)) ]
+       (* the sharing fast paths *)
+       && Vcomp.Ptmap.inter Int.equal pa pa == pa
+       && Vcomp.Ptmap.filter (fun _ _ -> true) pa == pa
+       && List.for_all
+            (fun (k, v) -> Vcomp.Ptmap.add k v pa == pa)
+            (ptmap_bindings pa))
 
 let deadcode_prop =
   QCheck.Test.make ~count:80 ~name:"deadcode after cse: validated"
@@ -512,6 +710,10 @@ let suite =
     QCheck_alcotest.to_alcotest licm_prop;
     QCheck_alcotest.to_alcotest gvn_after_cse_prop;
     gvn_invalidate_test;
+    dataflow_test;
+    ("dataflow: each node stepped once on acyclic functions", `Quick,
+     test_dataflow_acyclic_once);
+    QCheck_alcotest.to_alcotest ptmap_prop;
     QCheck_alcotest.to_alcotest deadcode_prop;
     ("constprop folds constants", `Quick, test_constprop_folds);
     ("cse removes duplicate loads", `Quick, test_cse_removes_duplicate_load);
