@@ -9,7 +9,7 @@
    became constants are rewritten to [RA_cint]/[RA_cfloat], which is how
    constants reach the emitted annotation comments of the paper.
 
-   The analysis is the shared [Dataflow.forward] solver (Kildall's
+   The analysis is the shared [Flow.Worklist.forward] solver (Kildall's
    algorithm, as in CompCert). Environments are [Ptmap]s holding only
    the registers known constant, Top being absence, so the join is a
    sharing-aware intersection and the comparison is exact. *)
@@ -94,15 +94,15 @@ let transfer (i : Rtl.instruction) (env : aenv) : aenv =
   | Rtl.Ireturn _ -> env
 
 (* Bindings that disagree join to Top: the join drops them. *)
-let problem (f : Rtl.func) : aenv Dataflow.problem =
-  { Dataflow.entry = Ptmap.empty;
+let problem (f : Rtl.func) : aenv Flow.Worklist.problem =
+  { Flow.Worklist.entry = Ptmap.empty;
     transfer = (fun n env -> transfer (Rtl.get_instr f n) env);
     join = Ptmap.inter approx_equal;
     equal = Ptmap.equal approx_equal }
 
 (* In-environments at the fixpoint; no fuel, the lattice is finite. *)
-let analyze (f : Rtl.func) : aenv Dataflow.solution =
-  match Dataflow.forward f (problem f) with
+let analyze (f : Rtl.func) : aenv Flow.Worklist.solution =
+  match Flow.Worklist.forward (Rtl.graph f) (problem f) with
   | Some sol -> sol
   | None -> assert false
 

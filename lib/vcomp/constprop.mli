@@ -15,6 +15,6 @@ val transform : Rtl.program -> Rtl.program
 type aenv
 (** The registers known to hold a constant; absent registers are Top. *)
 
-val problem : Rtl.func -> aenv Dataflow.problem
+val problem : Rtl.func -> aenv Flow.Worklist.problem
 (** Empty entry environment, abstract evaluation as the transfer, and
     the join that drops the bindings on which two sides disagree. *)

@@ -93,24 +93,21 @@ let set_reg (st : state) (d : Rtl.reg) (v : vn) : unit =
 
 (* Partition the CFG into basic blocks: heads are the entry, join points,
    and both successors of conditional branches. Returns head nodes. *)
-let block_heads (f : Rtl.func) : Rtl.node list =
-  let preds = Rtl.predecessors f in
-  let nodes = Rtl.reverse_postorder f in
+let block_heads (f : Rtl.func) (g : Flow.Graph.t) : Rtl.node list =
   List.filter
     (fun n ->
        if n = f.Rtl.f_entry then true
        else
-         match Hashtbl.find_opt preds n with
-         | Some [ p ] ->
+         match g.Flow.Graph.preds.(n) with
+         | [ p ] ->
            (match Rtl.get_instr f p with
             | Rtl.Icond _ -> true
             | _ -> false)
-         | Some _ | None -> true)
-    nodes
+         | _ -> true)
+    (Array.to_list g.Flow.Graph.order)
 
 (* Walk one basic block starting at [head], rewriting instructions. *)
-let process_block (f : Rtl.func) (preds : (Rtl.node, Rtl.node list) Hashtbl.t)
-    (head : Rtl.node) : unit =
+let process_block (f : Rtl.func) (g : Flow.Graph.t) (head : Rtl.node) : unit =
   let st = create_state () in
   let rec walk (n : Rtl.node) : unit =
     let i = Rtl.get_instr f n in
@@ -169,9 +166,9 @@ let process_block (f : Rtl.func) (preds : (Rtl.node, Rtl.node list) Hashtbl.t)
       let s_is_head =
         s = f.Rtl.f_entry
         ||
-        (match Hashtbl.find_opt preds s with
-         | Some [ _ ] -> false
-         | Some _ | None -> true)
+        (match g.Flow.Graph.preds.(s) with
+         | [ _ ] -> false
+         | _ -> true)
       in
       if not s_is_head then walk s
     | [] | _ :: _ :: _ -> ()
@@ -179,8 +176,8 @@ let process_block (f : Rtl.func) (preds : (Rtl.node, Rtl.node list) Hashtbl.t)
   walk head
 
 let transform_func (f : Rtl.func) : unit =
-  let preds = Rtl.predecessors f in
-  List.iter (process_block f preds) (block_heads f)
+  let g = Rtl.graph f in
+  List.iter (process_block f g) (block_heads f g)
 
 let transform (p : Rtl.program) : Rtl.program =
   List.iter transform_func p.Rtl.p_funcs;

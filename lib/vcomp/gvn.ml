@@ -28,7 +28,7 @@
    returns the environment untouched instead of filtering all of it;
    [invalidate_naive], the plain filter, is the test oracle.
 
-   The fixpoint is the shared [Dataflow.forward] solver over [Ptmap]
+   The fixpoint is the shared [Flow.Worklist.forward] solver over [Ptmap]
    environments: the meet is a sharing-aware intersection and the
    comparison stops at shared subtrees, so both cost what differs
    between two environments, not their size. The transfer is not
@@ -154,8 +154,8 @@ let meet : env -> env -> env = Ptmap.inter Int.equal
 
 (* The parameters hold their entry values. *)
 let problem ?(invalidate = invalidate) (tb : tables) (f : Rtl.func) :
-  env Dataflow.problem =
-  { Dataflow.entry =
+  env Flow.Worklist.problem =
+  { Flow.Worklist.entry =
       List.fold_left
         (fun e (r, _) -> Ptmap.add r (term tb (Tinit r)) e)
         Ptmap.empty f.Rtl.f_params;
@@ -164,8 +164,8 @@ let problem ?(invalidate = invalidate) (tb : tables) (f : Rtl.func) :
     equal = Ptmap.equal Int.equal }
 
 let analyze ?invalidate (tb : tables) (f : Rtl.func) ~(fuel : int) :
-  env Dataflow.solution option =
-  Dataflow.forward ~fuel f (problem ?invalidate tb f)
+  env Flow.Worklist.solution option =
+  Flow.Worklist.forward ~fuel (Rtl.graph f) (problem ?invalidate tb f)
 
 (* Rewriting. At a pure non-move operation whose arguments all have
    terms, look the result term up: if the destination already holds it
@@ -174,7 +174,7 @@ let analyze ?invalidate (tb : tables) (f : Rtl.func) ~(fuel : int) :
    deterministic representative). Integer constants are left alone —
    rematerializing them is as cheap as a move — but float constants are
    numbered: every duplicate avoided is a constant-pool load. *)
-let rewrite_func (tb : tables) (in_env : env Dataflow.solution)
+let rewrite_func (tb : tables) (in_env : env Flow.Worklist.solution)
     (f : Rtl.func) : unit =
   let class_of r = Hashtbl.find_opt f.Rtl.f_classes r in
   List.iter

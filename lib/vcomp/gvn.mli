@@ -11,7 +11,7 @@ val transform_func : fuel:int -> Rtl.func -> unit
 
 val transform : ?fuel:int -> Rtl.program -> Rtl.program
 (** [fuel] (default 200_000) is a per-function budget of solver steps
-    ({!Dataflow.forward}). The solver steps the lowest pending node in
+    ({!Flow.Worklist.forward}). The solver steps the lowest pending node in
     reverse postorder, which takes fewer steps than the FIFO worklist
     it replaced, so a starved budget (the [#N] of a [--passes] spec)
     can now converge, and rewrite, where it used to skip the function. *)
@@ -29,14 +29,14 @@ type env = int Ptmap.t
 
 val problem :
   ?invalidate:(tables -> Rtl.node -> env -> env) ->
-  tables -> Rtl.func -> env Dataflow.problem
+  tables -> Rtl.func -> env Flow.Worklist.problem
 (** The parameters' entry terms, the transfer function and the meet
     (bindings on which both sides agree). [invalidate] defaults to
     {!invalidate}. *)
 
 val analyze :
   ?invalidate:(tables -> Rtl.node -> env -> env) ->
-  tables -> Rtl.func -> fuel:int -> env Dataflow.solution option
+  tables -> Rtl.func -> fuel:int -> env Flow.Worklist.solution option
 (** In-environments at the fixpoint, [None] on fuel exhaustion. *)
 
 val mentions : tables -> Rtl.node -> bool

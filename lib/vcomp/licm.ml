@@ -57,14 +57,23 @@ let retarget (f : Rtl.func) (n : Rtl.node) ~(from_ : Rtl.node)
    yields anything, then return for a full recomputation (CFG edits
    invalidate the analyses, so at most one loop is edited per round). *)
 let hoist_once (f : Rtl.func) : bool =
-  match
-    let dom = Dom.compute f in
-    (dom, Loops.compute f dom)
-  with
-  | exception Loops.Irreducible _ -> false
-  | dom, loopnest ->
+  let g = Rtl.graph f in
+  let dom = Flow.Dom.compute g in
+  match Flow.Loops.compute g dom with
+  | exception Flow.Loops.Irreducible _ -> false
+  | loops ->
+    (* innermost (smallest body) first, header as tie-break, so loops
+       are visited in a fixed order *)
+    let loops =
+      List.sort
+        (fun (a : Flow.Loops.loop) (b : Flow.Loops.loop) ->
+           compare
+             (List.length a.l_body, a.l_header)
+             (List.length b.l_body, b.l_header))
+        loops
+    in
     let lv = Liveness.analyze f in
-    let rpo = Rtl.reverse_postorder f in
+    let rpo = Array.to_list g.Flow.Graph.order in
     let live_in (n : Rtl.node) (r : Rtl.reg) : bool =
       Liveness.mem_before lv (Rtl.get_instr f n) n r
     in
@@ -81,20 +90,20 @@ let hoist_once (f : Rtl.func) : bool =
     let defs_of r = Option.value ~default:[] (Hashtbl.find_opt defs r) in
     let is_param r = List.mem_assoc r f.Rtl.f_params in
     let changed = ref false in
-    let try_loop (l : Loops.loop) : unit =
-      if (not !changed) && l.Loops.l_header <> f.Rtl.f_entry
-         && l.Loops.l_entry_preds <> [] then begin
+    let try_loop (l : Flow.Loops.loop) : unit =
+      if (not !changed) && l.Flow.Loops.l_header <> f.Rtl.f_entry
+         && l.Flow.Loops.l_entry_preds <> [] then begin
         let body = Hashtbl.create 17 in
-        List.iter (fun n -> Hashtbl.replace body n ()) l.Loops.l_body;
+        List.iter (fun n -> Hashtbl.replace body n ()) l.Flow.Loops.l_body;
         let in_body n = Hashtbl.mem body n in
-        let header = l.Loops.l_header in
+        let header = l.Flow.Loops.l_header in
         let exit_srcs =
           List.filter
             (fun n ->
                List.exists
                  (fun s -> not (in_body s))
                  (Rtl.successors (Rtl.get_instr f n)))
-            l.Loops.l_body
+            l.Flow.Loops.l_body
         in
         let exit_targets =
           List.concat_map
@@ -108,16 +117,17 @@ let hoist_once (f : Rtl.func) : bool =
           List.exists
             (fun n ->
                match Rtl.get_instr f n with Rtl.Istore _ -> true | _ -> false)
-            l.Loops.l_body
+            l.Flow.Loops.l_body
         in
         let dominates_exits n =
-          List.for_all (fun e -> Dom.dominates dom n e) exit_srcs
+          List.for_all (fun e -> Flow.Dom.dominates dom n e) exit_srcs
         in
         let arg_ok r =
           (not (List.exists in_body (defs_of r)))
           && (is_param r
               || List.exists
-                   (fun m -> (not (in_body m)) && Dom.dominates dom m header)
+                   (fun m ->
+                      (not (in_body m)) && Flow.Dom.dominates dom m header)
                    (defs_of r))
         in
         let dest_ok n d =
@@ -152,7 +162,7 @@ let hoist_once (f : Rtl.func) : bool =
               let pre = Rtl.add_instr f (Rtl.Inop header) in
               List.iter
                 (fun p -> retarget f p ~from_:header ~to_:pre)
-                l.Loops.l_entry_preds;
+                l.Flow.Loops.l_entry_preds;
               tail := Some pre;
               pre
           in
@@ -177,7 +187,7 @@ let hoist_once (f : Rtl.func) : bool =
           rpo
       end
     in
-    List.iter try_loop loopnest.Loops.loops;
+    List.iter try_loop loops;
     !changed
 
 let transform_func ~(fuel : int) (f : Rtl.func) : unit =

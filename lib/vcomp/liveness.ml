@@ -16,39 +16,27 @@ let live_before_into (i : Rtl.instruction) (after : Bitrow.t) (dst : Bitrow.t) :
   Option.iter (Bitrow.remove dst) (Rtl.instr_def i);
   List.iter (Bitrow.add dst) (Rtl.instr_uses i)
 
-(* Compute live-after rows for all reachable nodes with a worklist
-   iteration seeded in postorder (fast convergence for reducible CFGs). *)
-let analyze (f : Rtl.func) : t =
-  let nregs = f.Rtl.f_next_reg and nnodes = f.Rtl.f_next_node in
-  let rows = Array.init nnodes (fun _ -> Bitrow.create nregs) in
-  let rpo = Rtl.reverse_postorder f in
-  let preds = Array.make nnodes [] in
-  List.iter
-    (fun n ->
-       List.iter (fun s -> preds.(s) <- n :: preds.(s))
-         (Rtl.successors (Rtl.get_instr f n)))
-    rpo;
-  let queued = Array.make nnodes false in
-  let worklist = Queue.create () in
-  let push (n : Rtl.node) : unit =
-    if not queued.(n) then begin
-      queued.(n) <- true;
-      Queue.add n worklist
-    end
-  in
-  (* postorder = reverse of reverse-postorder *)
-  List.iter push (List.rev rpo);
+(* Live-after rows of all reachable nodes: the backward problem on the
+   shared worklist, highest RPO position first, so on an acyclic
+   function every node is stepped once, after all its successors. *)
+let solve ?fuel (f : Rtl.func) : t option =
+  let g = Rtl.graph f and nregs = f.Rtl.f_next_reg in
+  let rows = Array.init f.Rtl.f_next_node (fun _ -> Bitrow.create nregs) in
   let before = Bitrow.create nregs in
-  while not (Queue.is_empty worklist) do
-    let n = Queue.pop worklist in
-    queued.(n) <- false;
+  let w = Flow.Worklist.create ~backward:true g in
+  Flow.Worklist.push_all w;
+  let step n =
     live_before_into (Rtl.get_instr f n) rows.(n) before;
     (* propagate into predecessors' live-after *)
     List.iter
-      (fun p -> if Bitrow.union_into ~dst:rows.(p) before then push p)
-      preds.(n)
-  done;
-  rows
+      (fun p ->
+         if Bitrow.union_into ~dst:rows.(p) before then Flow.Worklist.push w p)
+      g.Flow.Graph.preds.(n)
+  in
+  if Flow.Worklist.run ?fuel w step then Some rows else None
+
+(* No fuel: the lattice is finite. *)
+let analyze (f : Rtl.func) : t = Option.get (solve f)
 
 (* Nodes created after the analysis (LICM's preheaders) have no row. *)
 let no_row = Bitrow.create 0

@@ -18,7 +18,11 @@ val mem_before : t -> Rtl.instruction -> Rtl.node -> Rtl.reg -> bool
 (** [mem_before lv i n r]: is [r] live before node [n] when [n] holds
     instruction [i]? *)
 
-(** {2 Test oracle} *)
+(** {2 For tests} *)
+
+val solve : ?fuel:int -> Rtl.func -> t option
+(** {!analyze} where each worklist step costs one unit of [fuel];
+    [None] when it runs out first. *)
 
 module RegSet : Set.S with type elt = int
 

@@ -7,7 +7,7 @@
    Analysis-heavy passes (GVN, LICM, the dead-code fixpoint) take a
    fuel budget in the style of the analyzer's [Wcet.Fuel]: exhaustion
    means the pass skips (identity), never that it miscompiles. GVN
-   spends one unit per step of the shared [Dataflow] solver, which
+   spends one unit per step of the shared [Flow.Worklist] solver, which
    steps the lowest pending node in reverse postorder and so needs
    fewer steps than the FIFO worklist it replaced: a starved budget
    (a [--passes ...#N] spec) can now converge, and rewrite, where it

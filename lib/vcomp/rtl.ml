@@ -170,34 +170,15 @@ let has_effect (i : instruction) : bool =
   | Istore _ | Iacq _ | Iout _ | Iannot _ | Ireturn _ -> true
   | Inop _ | Iop _ | Iload _ | Icond _ -> false
 
+(* The control-flow graph of the nodes reachable from the entry
+   ([Flow.Graph]): reverse postorder, successors and predecessors. *)
+let graph (f : func) : Flow.Graph.t =
+  Flow.Graph.make ~size:f.f_next_node ~entry:f.f_entry (fun n ->
+      successors (get_instr f n))
+
 (* All nodes reachable from the entry, in reverse postorder. *)
 let reverse_postorder (f : func) : node list =
-  let visited = Hashtbl.create 251 in
-  let order = ref [] in
-  let rec dfs (n : node) : unit =
-    if not (Hashtbl.mem visited n) then begin
-      Hashtbl.replace visited n ();
-      List.iter dfs (successors (get_instr f n));
-      order := n :: !order
-    end
-  in
-  dfs f.f_entry;
-  !order
-
-(* Predecessor map over reachable nodes. *)
-let predecessors (f : func) : (node, node list) Hashtbl.t =
-  let preds = Hashtbl.create 251 in
-  let nodes = reverse_postorder f in
-  List.iter (fun n -> Hashtbl.replace preds n []) nodes;
-  List.iter
-    (fun n ->
-       List.iter
-         (fun s ->
-            let cur = Option.value ~default:[] (Hashtbl.find_opt preds s) in
-            Hashtbl.replace preds s (n :: cur))
-         (successors (get_instr f n)))
-    nodes;
-  preds
+  Array.to_list (graph f).Flow.Graph.order
 
 type program = {
   p_source : Minic.Ast.program; (* globals / arrays / volatiles context *)

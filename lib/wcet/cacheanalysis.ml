@@ -92,7 +92,7 @@ let data_access (lay : Target.Layout.t) (st : Valueanalysis.state)
 let analyze (cfg : Cfg.t) (va : Valueanalysis.result) (lay : Target.Layout.t) :
   t =
   let nb = Cfg.num_blocks cfg in
-  let reachable = Cfg.reverse_postorder cfg in
+  let reachable = Array.to_list cfg.Cfg.c_graph.Flow.Graph.order in
   let imprecise = ref false in
   (* ---- collect footprints ---- *)
   let dlines : (int, unit) Hashtbl.t = Hashtbl.create 251 in

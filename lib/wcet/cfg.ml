@@ -27,6 +27,7 @@ type t = {
   c_blocks : block array;  (* indexed by block id *)
   c_entry : int;
   c_fname : string;
+  c_graph : Flow.Graph.t;  (* block ids, successors in [b_succs] order *)
 }
 
 exception Decode_error of string
@@ -122,7 +123,12 @@ let build (fname : string) (base_addr : int) (code : Asm.instr list) : t =
           b_succs = succs;
           b_is_exit = is_exit })
   in
-  { c_blocks = blocks; c_entry = 0; c_fname = fname }
+  { c_blocks = blocks;
+    c_entry = 0;
+    c_fname = fname;
+    c_graph =
+      Flow.Graph.make ~size:nb ~entry:0 (fun b ->
+          List.map fst blocks.(b).b_succs) }
 
 let block (cfg : t) (b : int) : block = cfg.c_blocks.(b)
 
@@ -130,36 +136,6 @@ let num_blocks (cfg : t) : int = Array.length cfg.c_blocks
 
 let successors (cfg : t) (b : int) : (int * edge_kind) list =
   cfg.c_blocks.(b).b_succs
-
-(* Predecessor lists. *)
-let predecessors (cfg : t) : int list array =
-  let preds = Array.make (num_blocks cfg) [] in
-  Array.iter
-    (fun blk ->
-       List.iter
-         (fun (s, _) -> preds.(s) <- blk.b_id :: preds.(s))
-         blk.b_succs)
-    cfg.c_blocks;
-  preds
-
-(* Reachable blocks in reverse postorder. *)
-let reverse_postorder (cfg : t) : int list =
-  let visited = Array.make (num_blocks cfg) false in
-  let order = ref [] in
-  let rec dfs b =
-    if not visited.(b) then begin
-      visited.(b) <- true;
-      List.iter (fun (s, _) -> dfs s) cfg.c_blocks.(b).b_succs;
-      order := b :: !order
-    end
-  in
-  dfs cfg.c_entry;
-  !order
-
-let exit_blocks (cfg : t) : int list =
-  Array.to_list cfg.c_blocks
-  |> List.filter (fun b -> b.b_is_exit)
-  |> List.map (fun b -> b.b_id)
 
 let pp (ppf : Format.formatter) (cfg : t) : unit =
   Format.fprintf ppf "@[<v>cfg %s (%d blocks)@," cfg.c_fname (num_blocks cfg);

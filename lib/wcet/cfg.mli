@@ -20,6 +20,9 @@ type t = {
   c_blocks : block array;
   c_entry : int;
   c_fname : string;
+  c_graph : Flow.Graph.t;
+      (** the blocks reached from the entry in reverse postorder, with
+          their predecessors; successors in [b_succs] order *)
 }
 
 exception Decode_error of string
@@ -31,7 +34,4 @@ val build : string -> int -> Target.Asm.instr list -> t
 val block : t -> int -> block
 val num_blocks : t -> int
 val successors : t -> int -> (int * edge_kind) list
-val predecessors : t -> int list array
-val reverse_postorder : t -> int list
-val exit_blocks : t -> int list
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
-(** Dominator computation (Cooper–Harvey–Kennedy iterative algorithm),
-    prerequisite of natural-loop detection. *)
+(** Dominators of the reconstructed CFG ({!Flow.Dom}), prerequisite of
+    natural-loop detection. *)
 
-type t = {
+type t = Flow.Dom.t = {
   d_idom : int array;      (** immediate dominators; entry maps to itself *)
   d_rpo_index : int array;
 }

@@ -19,8 +19,9 @@
 
 type t = {
   fl_widen : int;
-    (* worklist iterations of the value-analysis and must-cache
-       fixpoints (each processed block counts one) *)
+    (* steps of the value-analysis and must-cache fixpoints on the
+       shared worklist ([Flow.Worklist]; each processed block counts
+       one) *)
   fl_simplex : int;
     (* simplex pivoting iterations per [Lp.solve] phase *)
   fl_bb_nodes : int;

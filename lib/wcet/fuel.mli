@@ -12,8 +12,8 @@
 
 type t = {
   fl_widen : int;
-      (** worklist iterations of the value-analysis / must-cache
-          fixpoints (one per processed block) *)
+      (** steps of the value-analysis / must-cache fixpoints on the
+          shared {!Flow.Worklist} (one per processed block) *)
   fl_simplex : int;  (** simplex pivots per [Lp.solve] phase *)
   fl_bb_nodes : int;
       (** branch & bound nodes in [Lp.solve_integer]; exhaustion here

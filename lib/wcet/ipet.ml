@@ -38,9 +38,7 @@ type result = {
 
 let build_system (cfg : Cfg.t) (pl : Pipeline.t) (loops : Loops.t)
     (bounds : Boundanalysis.loop_bound list) : system =
-  let reachable = Cfg.reverse_postorder cfg in
-  let in_reach = Array.make (Cfg.num_blocks cfg) false in
-  List.iter (fun b -> in_reach.(b) <- true) reachable;
+  let reachable = Array.to_list cfg.Cfg.c_graph.Flow.Graph.order in
   (* enumerate edges *)
   let edges = ref [] in
   let nedges = ref 0 in

@@ -1,7 +1,8 @@
-(** Natural-loop detection from back edges. The compilers only produce
-    reducible flow (mini-C has no goto, per the MISRA discussion in the
-    workshop's companion paper); irreducible flow is reported as an
-    analysis failure rather than risking an unsound bound. *)
+(** Natural-loop detection from back edges ({!Flow.Loops}), with the
+    edge kinds put back. The compilers only produce reducible flow
+    (mini-C has no goto, per the MISRA discussion in the workshop's
+    companion paper); irreducible flow is reported as an analysis
+    failure rather than risking an unsound bound. *)
 
 exception Irreducible of string
 
@@ -13,9 +14,7 @@ type loop = {
 }
 
 type t = { loops : loop list }
+(** In {!Flow.Loops.compute}'s order, which the report prints. *)
 
 val compute : Cfg.t -> Dom.t -> t
 (** @raise Irreducible on retreating non-back edges. *)
-
-val innermost : t -> int -> loop option
-val sorted_inner_first : t -> loop list

@@ -163,32 +163,22 @@ type result = {
   mc_accs : access array array;   (* per block, in instruction order *)
 }
 
-(* Fixpoint: entry states per block. The domain has finite height
-   (ages only grow under join, lines only disappear), so plain
-   iteration terminates — and [fuel] bounds the worklist iterations
-   anyway, so a join/transfer bug is a refusal upstream, not a hang. *)
+(* Fixpoint: entry states per block, on the shared worklist, lowest
+   RPO position first. The domain has finite height (ages only grow
+   under join, lines only disappear), so plain iteration terminates,
+   and to the same result in any order — and [fuel] bounds the worklist
+   steps anyway, so a join/transfer bug is a refusal upstream, not a
+   hang. *)
 let analyze ?(fuel = Fuel.default.Fuel.fl_widen) (cfg : Cfg.t)
     (va : Valueanalysis.result) (lay : Target.Layout.t) : result =
   let n = Cfg.num_blocks cfg in
   let accs = Array.init n (block_accesses lay va) in
   let entry : acache option array = Array.make n None in
   entry.(cfg.Cfg.c_entry) <- Some empty;
-  let worklist = Queue.create () in
-  let inq = Array.make n false in
-  let push b =
-    if not inq.(b) then begin
-      inq.(b) <- true;
-      Queue.add b worklist
-    end
-  in
-  push cfg.Cfg.c_entry;
-  let iters = ref 0 in
-  while not (Queue.is_empty worklist) do
-    incr iters;
+  let w = Flow.Worklist.create cfg.Cfg.c_graph in
+  Flow.Worklist.push w cfg.Cfg.c_entry;
+  let step b =
     Fuel.tick ();
-    if !iters > fuel then Fuel.exhaust "must-cache ageing fixpoint";
-    let b = Queue.pop worklist in
-    inq.(b) <- false;
     match entry.(b) with
     | None -> ()
     | Some c ->
@@ -205,11 +195,22 @@ let analyze ?(fuel = Fuel.default.Fuel.fl_widen) (cfg : Cfg.t)
            match updated with
            | Some st ->
              entry.(s) <- Some st;
-             push s
+             Flow.Worklist.push w s
            | None -> ())
         (Cfg.block cfg b).Cfg.b_succs
-  done;
+  in
+  if not (Flow.Worklist.run ~fuel w step) then
+    Fuel.exhaust "must-cache ageing fixpoint";
   { mc_entry = entry; mc_accs = accs }
+
+(* The equations [analyze] solves, for the naive-sweep test oracle. *)
+let problem (res : result) : acache Flow.Worklist.problem =
+  { Flow.Worklist.entry = empty;
+    transfer = transfer_block res.mc_accs;
+    join;
+    equal }
+
+let entry_states (res : result) : acache option array = res.mc_entry
 
 (* Classification of every data access of block [b]: for each
    memory-accessing instruction (in order), true when the access is an

@@ -15,10 +15,19 @@ type result
 
 val analyze :
   ?fuel:int -> Cfg.t -> Valueanalysis.result -> Target.Layout.t -> result
-(** [fuel] bounds the worklist iterations (default
+(** [fuel] bounds the worklist steps, one per processed block (default
     [Fuel.default.fl_widen]).
     @raise Fuel.Exhausted when the budget runs out. *)
 
 val block_hits : result -> int -> bool list
 (** One boolean per data access of the block, in order: true when the
     access is guaranteed to hit. *)
+
+(** {2 For tests} *)
+
+val problem : result -> acache Flow.Worklist.problem
+(** The equations {!analyze} solves: the entry state, the transfer over
+    a block's classified accesses, the must-join. *)
+
+val entry_states : result -> acache option array
+(** By block; [None] for blocks not reached. *)

@@ -484,7 +484,7 @@ let pair_stable (stores : store list) ~(wild : bool) (dom : Dom.t)
 
 let derive_cuts (cfg : Cfg.t) (dom : Dom.t) (loops : Loops.t)
     (sys : Ipet.system) : Lp.constr list =
-  let preds = Cfg.predecessors cfg in
+  let preds = cfg.Cfg.c_graph.Flow.Graph.preds in
   let nb = Cfg.num_blocks cfg in
   let in_loop = Array.make nb false in
   List.iter

@@ -378,33 +378,23 @@ type result = {
   r_cfg : Cfg.t;
 }
 
-(* Fixpoint with widening after [widen_after] joins at the same block.
-   Widening bounds the chain height in theory; [fuel] bounds the
-   worklist iterations unconditionally (one per processed block), so a
-   transfer-function bug or a pathological CFG yields a refusal
-   upstream, never a hang. *)
-let analyze ?(widen_after = 3) ?(fuel = Fuel.default.Fuel.fl_widen)
-    (cfg : Cfg.t) : result =
+(* Joins at one block after which its entry state is widened. *)
+let widen_after = 3
+
+(* Fixpoint on the shared worklist, lowest RPO position first, with
+   widening after [widen_after] joins at the same block. Widening bounds
+   the chain height in theory; [fuel] bounds the worklist steps
+   unconditionally (one per processed block), so a transfer-function
+   bug or a pathological CFG yields a refusal upstream, never a hang. *)
+let analyze ?(fuel = Fuel.default.Fuel.fl_widen) (cfg : Cfg.t) : result =
   let n = Cfg.num_blocks cfg in
   let entry_states : state option array = Array.make n None in
   let visits = Array.make n 0 in
-  let worklist = Queue.create () in
-  let inqueue = Array.make n false in
-  let push b =
-    if not inqueue.(b) then begin
-      inqueue.(b) <- true;
-      Queue.add b worklist
-    end
-  in
+  let w = Flow.Worklist.create cfg.Cfg.c_graph in
   entry_states.(cfg.Cfg.c_entry) <- Some init_state;
-  push cfg.Cfg.c_entry;
-  let iters = ref 0 in
-  while not (Queue.is_empty worklist) do
-    incr iters;
+  Flow.Worklist.push w cfg.Cfg.c_entry;
+  let step b =
     Fuel.tick ();
-    if !iters > fuel then Fuel.exhaust "value-analysis widening fixpoint";
-    let b = Queue.pop worklist in
-    inqueue.(b) <- false;
     match entry_states.(b) with
     | None -> ()
     | Some st_in ->
@@ -428,10 +418,12 @@ let analyze ?(widen_after = 3) ?(fuel = Fuel.default.Fuel.fl_widen)
            match updated with
            | Some st' ->
              entry_states.(s) <- Some st';
-             push s
+             Flow.Worklist.push w s
            | None -> ())
         blk.Cfg.b_succs
-  done;
+  in
+  if not (Flow.Worklist.run ~fuel w step) then
+    Fuel.exhaust "value-analysis widening fixpoint";
   { r_entry_states = entry_states; r_cfg = cfg }
 
 (* State just before instruction [idx] of block [b]. *)

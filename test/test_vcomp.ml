@@ -197,13 +197,13 @@ let dataflow_drops = ref 0
 
 (* [sol] solves [pb]'s equations: every reachable node holds the entry
    value or the join of its predecessors' out-values. *)
-let is_fixpoint (f : Vcomp.Rtl.func) (pb : 'a Vcomp.Dataflow.problem)
-    (sol : 'a Vcomp.Dataflow.solution) : bool =
-  let preds = Vcomp.Rtl.predecessors f in
-  let out p = pb.Vcomp.Dataflow.transfer p (Option.get sol.(p)) in
+let is_fixpoint (f : Vcomp.Rtl.func) (pb : 'a Flow.Worklist.problem)
+    (sol : 'a Flow.Worklist.solution) : bool =
+  let preds = (Vcomp.Rtl.graph f).Flow.Graph.preds in
+  let out p = pb.Flow.Worklist.transfer p (Option.get sol.(p)) in
   List.for_all
     (fun n ->
-       match sol.(n), List.map out (Hashtbl.find preds n) with
+       match sol.(n), List.map out preds.(n) with
        | None, _ -> false
        | Some v, _ when n = f.Vcomp.Rtl.f_entry -> pb.equal v pb.entry
        | Some v, o :: os -> pb.equal v (List.fold_left pb.join o os)
@@ -221,7 +221,7 @@ let is_fixpoint (f : Vcomp.Rtl.func) (pb : 'a Vcomp.Dataflow.problem)
    lower position than the previous one is only ever the previous
    node's back-edge successor (a FIFO worklist breaks this as soon as
    a loop holds a branch). *)
-let solvers_agree ~exact (f : Vcomp.Rtl.func) (pb : 'a Vcomp.Dataflow.problem) :
+let solvers_agree ~exact (f : Vcomp.Rtl.func) (pb : 'a Flow.Worklist.problem) :
   bool =
   let pos = rpo_positions f in
   let last = ref None and in_order = ref true in
@@ -233,19 +233,20 @@ let solvers_agree ~exact (f : Vcomp.Rtl.func) (pb : 'a Vcomp.Dataflow.problem) :
        then in_order := false
      | Some _ | None -> ());
     last := Some n;
-    pb.Vcomp.Dataflow.transfer n v
+    pb.Flow.Worklist.transfer n v
   in
   if has_back_edge f then incr dataflow_loops;
   let same x y =
     match x, y with
     | None, None -> true
-    | Some x, Some y -> pb.Vcomp.Dataflow.equal x y
+    | Some x, Some y -> pb.Flow.Worklist.equal x y
     | Some _, None | None, Some _ -> false
   in
-  match Vcomp.Dataflow.forward f { pb with Vcomp.Dataflow.transfer } with
+  let g = Vcomp.Rtl.graph f in
+  match Flow.Worklist.forward g { pb with Flow.Worklist.transfer } with
   | None -> false
   | Some fast ->
-    let naive = Vcomp.Dataflow.forward_naive f pb in
+    let naive = Flow.Worklist.forward_naive g pb in
     !in_order && is_fixpoint f pb fast && is_fixpoint f pb naive
     && ((not exact) || Array.for_all2 same fast naive)
 
@@ -283,8 +284,9 @@ let dataflow_test =
       checkb "loops occurred" true (!dataflow_loops > 0);
       checkb "some back edge re-stepped a loop" true (!dataflow_drops > 0))
 
-(* On an acyclic function the worklist steps each node exactly once:
-   the budget of one step per node converges, one step less does not. *)
+(* On an acyclic function the worklist steps each node exactly once,
+   forward (constprop, GVN) and backward (liveness): the budget of one
+   step per node converges, one step less does not. *)
 let test_dataflow_acyclic_once () =
   let acyclic = ref 0 in
   for seed = 0 to 299 do
@@ -293,18 +295,55 @@ let test_dataflow_acyclic_once () =
          if not (has_back_edge f) then begin
            incr acyclic;
            let n = List.length (Vcomp.Rtl.reverse_postorder f) in
-           let steps pb fuel = Vcomp.Dataflow.forward ~fuel f pb <> None in
+           let g = Vcomp.Rtl.graph f in
+           let steps pb fuel = Flow.Worklist.forward ~fuel g pb <> None in
            let cp = Vcomp.Constprop.problem f in
            let gvn = Vcomp.Gvn.problem (Vcomp.Gvn.create_tables ()) f in
+           let live fuel = Vcomp.Liveness.solve ~fuel f <> None in
            checkb "constprop: n steps suffice" true (steps cp n);
            checkb "constprop: n - 1 steps do not" false (steps cp (n - 1));
            checkb "gvn: n steps suffice" true (steps gvn n);
-           checkb "gvn: n - 1 steps do not" false (steps gvn (n - 1))
+           checkb "gvn: n - 1 steps do not" false (steps gvn (n - 1));
+           checkb "liveness: n steps suffice" true (live n);
+           checkb "liveness: n - 1 steps do not" false (live (n - 1))
          end)
       (Vcomp.Selection.trans_program (Testlib.Gen.gen_program seed))
         .Vcomp.Rtl.p_funcs
   done;
   checkb "acyclic functions occurred" true (!acyclic > 0)
+
+(* The shared DFS takes a node's successors in list order. Selection
+   emits a while loop's test as [Icond (c, body, exit)], so the body is
+   searched first and finishes first, and the exit code comes before
+   the body in reverse postorder. GVN's transfer is not monotone, so
+   its fixpoint, and with it the emitted code, depends on this order:
+   a last-successor-first search changes GVN rewrites on real nodes. *)
+let test_rpo_exit_before_body () =
+  let p =
+    Minic.Parser.parse_program
+      {| int m() {
+           var int i;
+           i = 0;
+           while (i < 10) { i = i + 1; }
+           return i;
+         } main m; |}
+  in
+  Minic.Typecheck.check_program_exn p;
+  let f = List.hd (Vcomp.Selection.trans_program p).Vcomp.Rtl.p_funcs in
+  let g = Vcomp.Rtl.graph f in
+  let conds =
+    List.filter_map
+      (fun n ->
+         match Vcomp.Rtl.get_instr f n with
+         | Vcomp.Rtl.Icond (_, _, body, exit) -> Some (body, exit)
+         | _ -> None)
+      (Vcomp.Rtl.reverse_postorder f)
+  in
+  match conds with
+  | [ (body, exit) ] ->
+    checkb "exit before body in RPO" true
+      (g.Flow.Graph.pos.(exit) < g.Flow.Graph.pos.(body))
+  | _ -> Alcotest.fail "expected one loop test"
 
 (* ---- Ptmap against Map.Make (Int) ---- *)
 
@@ -713,6 +752,8 @@ let suite =
     dataflow_test;
     ("dataflow: each node stepped once on acyclic functions", `Quick,
      test_dataflow_acyclic_once);
+    ("rpo: a while loop's exit precedes its body", `Quick,
+     test_rpo_exit_before_body);
     QCheck_alcotest.to_alcotest ptmap_prop;
     QCheck_alcotest.to_alcotest deadcode_prop;
     ("constprop folds constants", `Quick, test_constprop_folds);

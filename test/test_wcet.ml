@@ -82,20 +82,34 @@ let random_cfg_code (seed : int) : Asm.instr list =
   code := Asm.Pblr :: !code;
   List.rev !code
 
+(* CHK against the naive oracle on every pair of reached nodes. *)
+let dominators_agree (g : Flow.Graph.t) (dominates : int -> int -> bool)
+    (naive : int -> int -> bool) : bool =
+  let reached = Array.to_list g.Flow.Graph.order in
+  List.for_all
+    (fun a ->
+       let naive_a = naive a in
+       List.for_all (fun b -> dominates a b = naive_a b) reached)
+    reached
+
+(* On random machine-code CFGs (through the analyzer's [Wcet.Dom]) and
+   on the compiler's RTL functions of random programs. *)
 let dominators_prop =
   QCheck.Test.make ~count:100 ~name:"dominators: CHK = naive reachability"
     QCheck.small_int
     (fun seed ->
        let cfg = Wcet.Cfg.build "d" 0x1000 (random_cfg_code (seed land 0xFFFF)) in
        let dom = Wcet.Dom.compute cfg in
-       let reachable = Wcet.Cfg.reverse_postorder cfg in
-       List.for_all
-         (fun a ->
-            List.for_all
-              (fun b ->
-                 Wcet.Dom.dominates dom a b = Wcet.Dom.dominates_naive cfg a b)
-              reachable)
-         reachable)
+       dominators_agree cfg.Wcet.Cfg.c_graph (Wcet.Dom.dominates dom)
+         (Wcet.Dom.dominates_naive cfg)
+       && List.for_all
+         (fun f ->
+            let g = Vcomp.Rtl.graph f in
+            dominators_agree g
+              (Flow.Dom.dominates (Flow.Dom.compute g))
+              (Flow.Dom.dominates_naive g))
+         (Vcomp.Selection.trans_program
+            (Testlib.Gen.gen_program (seed land 0xFFFF))).Vcomp.Rtl.p_funcs)
 
 (* ---- loops ---- *)
 
@@ -358,6 +372,42 @@ let wcet_soundness_nodes_prop =
               [ 1; 2; 3 ])
          Fcstack.Chain.all_compilers)
 
+(* ---- must-cache: worklist vs naive sweeps ---- *)
+
+(* Must-cache is a monotone fixpoint of finite height, so the
+   worklist's lowest-RPO-first steps and plain full RPO sweeps over the
+   same equations must reach the same entry state at every block. *)
+let mustcache_naive_prop =
+  QCheck.Test.make ~count:30 ~name:"mustcache: worklist = naive sweeps"
+    QCheck.small_int
+    (fun seed ->
+       let p = Testlib.Gen.gen_program (seed land 0xFFFF) in
+       List.for_all
+         (fun comp ->
+            let b = Fcstack.Chain.build ~exact:true comp p in
+            let lay = b.Fcstack.Chain.b_layout in
+            List.for_all
+              (fun (f : Asm.func) ->
+                 let cfg =
+                   Wcet.Cfg.build f.Asm.fn_name
+                     (Target.Layout.func_addr lay f.Asm.fn_name) f.Asm.fn_code
+                 in
+                 let va = Wcet.Valueanalysis.analyze cfg in
+                 let mc = Wcet.Mustcache.analyze cfg va lay in
+                 let pb = Wcet.Mustcache.problem mc in
+                 let naive =
+                   Flow.Worklist.forward_naive cfg.Wcet.Cfg.c_graph pb
+                 in
+                 Array.for_all2
+                   (fun x y ->
+                      match x, y with
+                      | None, None -> true
+                      | Some x, Some y -> pb.Flow.Worklist.equal x y
+                      | Some _, None | None, Some _ -> false)
+                   (Wcet.Mustcache.entry_states mc) naive)
+              b.Fcstack.Chain.b_asm.Asm.pr_funcs)
+         Fcstack.Chain.all_compilers)
+
 let suite =
   [ QCheck_alcotest.to_alcotest itv_add_prop;
     QCheck_alcotest.to_alcotest itv_sub_prop;
@@ -466,7 +516,8 @@ let () = ignore test_mustcache_join
 let suite =
   suite
   @ [ ("must-cache: reload is a hit", `Quick, test_mustcache_hits);
-      ("must-cache: join and same-line residency", `Quick, test_mustcache_join) ]
+      ("must-cache: join and same-line residency", `Quick, test_mustcache_join);
+      QCheck_alcotest.to_alcotest mustcache_naive_prop ]
 
 (* ---- annotation file (section 3.4 artifact) ---- *)
 
